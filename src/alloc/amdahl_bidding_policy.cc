@@ -42,15 +42,10 @@ AmdahlBiddingPolicy::allocate(const core::FisherMarket &market,
     if (ctx.sharding != nullptr)
         fatal("AmdahlBiddingPolicy clears in-process; sharded "
               "clearing goes through the fallback ladder");
-    core::BiddingOptions merged = opts;
-    merged.transport = ctx.transport;
-    if (ctx.initialBids != nullptr)
-        merged.initialBids = *ctx.initialBids;
-    merged.kernelCache = ctx.kernelCache;
-
     AllocationResult result;
     result.policyName = name();
-    result.outcome = core::solveAmdahlBidding(market, merged);
+    result.outcome = core::solveAmdahlBidding(
+        market, core::clearingOptions(opts, ctx));
     result.cores = core::roundOutcome(market, result.outcome);
     if constexpr (checkedBuild)
         auditAllocation(market, result);

@@ -106,17 +106,11 @@ AllocationResult
 FallbackPolicy::ladder(const core::FisherMarket &market,
                        const core::ClearingContext &ctx) const
 {
-    core::BiddingOptions opts = primary;
-    opts.transport = ctx.transport;
-    // Delta re-clearing plumbing: a previous equilibrium seeds the
-    // bids, and the kernel cache (in-process solves only; the sharded
-    // solver documents that it ignores the field) skips the CSR
-    // rebuild when the market structure is unchanged. Both are
-    // bitwise-invisible to the equilibrium contract — the warm start
-    // changes the trajectory, never the invariants.
-    if (ctx.initialBids != nullptr)
-        opts.initialBids = *ctx.initialBids;
-    opts.kernelCache = ctx.kernelCache;
+    // Delta re-clearing plumbing: the kernel cache (in-process solves
+    // only; the sharded solver ignores it) skips the CSR rebuild when
+    // the market structure is unchanged, and the context may ask for
+    // an accelerated primary attempt.
+    const core::BiddingOptions opts = core::clearingOptions(primary, ctx);
     const bool sharded = ctx.sharding && ctx.sharding->enabled();
 
     const auto runSolve = [&](const core::BiddingOptions &o) {
@@ -183,7 +177,10 @@ FallbackPolicy::ladder(const core::FisherMarket &market,
     // in effect — the retry runs over the same degraded network (under
     // sharded clearing the session's global round keeps advancing, so
     // a partition window scheduled across the retry stays in force).
+    // Acceleration requested by the context applies to the primary
+    // attempt only: the retry is the conservative rung.
     core::BiddingOptions retry = opts;
+    retry.accel = primary.accel;
     retry.damping =
         std::max(1e-3, opts.damping * fb.retryDampingFactor);
     retry.initialBids = attempt.bids;

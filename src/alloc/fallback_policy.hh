@@ -74,6 +74,8 @@ class FallbackPolicy : public AllocationPolicy
      * network instead of the in-process one — so the ladder also
      * absorbs quorum collapses and partition-degraded epochs, with the
      * serve's structured `reason` derived from the transport outcome.
+     * `ctx.accel` accelerates the primary attempt only; the damped
+     * retry keeps the configured options.
      */
     AllocationResult allocate(
         const core::FisherMarket &market,

@@ -108,6 +108,16 @@ Rng::poisson(double mean)
         fatal("Poisson mean must be non-negative, got ", mean);
     if (mean == 0.0)
         return 0;
+    // exp(-mean) underflows past ~745; sum draws of equal parts.
+    constexpr double kMaxPart = 700.0;
+    if (mean > kMaxPart) {
+        const double parts = std::ceil(mean / kMaxPart);
+        const double part = mean / parts;
+        int total = 0;
+        for (double p = 0.0; p < parts; p += 1.0)
+            total += poisson(part);
+        return total;
+    }
     const double limit = std::exp(-mean);
     int k = 0;
     double p = 1.0;

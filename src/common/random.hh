@@ -150,9 +150,11 @@ class Rng
     bool bernoulli(double p);
 
     /**
-     * @return A Poisson deviate with the given mean (Knuth's method;
-     * fine for the small means used by arrival processes). Requires
-     * mean >= 0.
+     * @return A Poisson deviate with the given mean (Knuth's method).
+     * A mean above 700, where exp(-mean) nears underflow, is split
+     * into equal parts of at most 700 whose draws are summed (Poisson
+     * additivity); smaller means draw exactly as a single part.
+     * Requires mean >= 0.
      */
     int poisson(double mean);
 

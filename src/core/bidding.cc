@@ -1,11 +1,12 @@
 #include "bidding.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -14,6 +15,7 @@
 #include "core/bidding_kernel.hh"
 #include "core/bidding_simd.hh"
 #include "exec/thread_pool.hh"
+#include "net/options.hh"
 #include "obs/metrics.hh"
 #include "obs/timer.hh"
 #include "obs/trace.hh"
@@ -23,70 +25,100 @@ namespace amdahl::core {
 namespace {
 
 /**
+ * The residual f = g - x of one (iterate, update) pair, written to
+ * @p f, fused with its dot products against the K kept residuals
+ * @p kept and with itself: dots[a] = <f, kept[a]>, dots[K] = <f, f>.
+ * Each dot is still a strict left fold in index order — exactly the
+ * sum a separate pass would produce — but the K + 1 accumulator
+ * chains are independent, so their latency-bound adds overlap.
+ */
+template <std::size_t K>
+void
+residualAndDots(const double *x, const double *g, double *f,
+                const double *const *kept, std::size_t jobs,
+                double *dots)
+{
+    double acc[K + 1] = {};
+    for (std::size_t e = 0; e < jobs; ++e) {
+        const double fe = g[e] - x[e];
+        f[e] = fe;
+        for (std::size_t a = 0; a < K; ++a)
+            acc[a] += fe * kept[a][e];
+        acc[K] += fe * fe;
+    }
+    std::copy(acc, acc + K + 1, dots);
+}
+
+template <std::size_t... K>
+constexpr auto
+residualAndDotsTable(std::index_sequence<K...>)
+{
+    return std::array{&residualAndDots<K>...};
+}
+
+/** Max history window + 1 (AccelOptions::depth is at most 8). */
+constexpr std::size_t kMaxAccelSlots = 9;
+
+/**
  * Anderson acceleration state over the proportional-response map
- * (DESIGN.md §16). Keeps up to depth+1 (iterate, update) pairs with
- * their residuals f = g(x) - x and the residual Gram matrix
+ * (DESIGN.md §16). Keeps up to depth+1 (update, residual) pairs —
+ * g and f = g(x) - x — and the residual Gram matrix
  * G[a][b] = <f_a, f_b>, maintained incrementally so each round costs
- * one new row of dot products. All reductions are strict serial left
- * folds — the accelerated trajectory is as reproducible as the plain
- * one.
+ * one fused pass (residual plus new Gram row). The pairs live in a
+ * ring of preallocated slots, so a round allocates nothing. All
+ * reductions are strict serial left folds — the accelerated
+ * trajectory is as reproducible as the plain one.
  */
 struct AndersonState
 {
-    int depth;
     double ridge;
     double maxMixWeight;
-    std::deque<std::vector<double>> xs;
-    std::deque<std::vector<double>> gs;
-    std::deque<std::vector<double>> fs; // residuals g - x
-    std::deque<std::vector<double>> gram;
+    std::vector<std::vector<double>> gs; // per slot
+    std::vector<std::vector<double>> fs; // per slot, residuals g - x
+    double gram[kMaxAccelSlots][kMaxAccelSlots] = {}; // by slot
+    std::size_t head = 0;  // slot of the oldest pair
+    std::size_t count = 0; // pairs kept
 
-    void
-    clear()
+    AndersonState(int depth, double ridge_, double maxMixWeight_)
+        : ridge(ridge_), maxMixWeight(maxMixWeight_),
+          gs(static_cast<std::size_t>(depth) + 1),
+          fs(static_cast<std::size_t>(depth) + 1)
+    {}
+
+    /** Slot of the a-th oldest kept pair. */
+    std::size_t
+    slot(std::size_t a) const
     {
-        xs.clear();
-        gs.clear();
-        fs.clear();
-        gram.clear();
+        return (head + a) % gs.size();
     }
 
     void
-    push(std::vector<double> x, const std::vector<double> &g)
+    push(const std::vector<double> &x, const std::vector<double> &g)
     {
+        // Full window: the new pair takes the oldest pair's slot.
+        if (count == gs.size())
+            head = (head + 1) % gs.size();
+        else
+            ++count;
+        const std::size_t kept = count - 1;
+        const std::size_t s = slot(kept);
         const std::size_t jobs = x.size();
-        std::vector<double> f(jobs);
-        for (std::size_t e = 0; e < jobs; ++e)
-            f[e] = g[e] - x[e];
+        gs[s].assign(g.begin(), g.end());
+        fs[s].resize(jobs);
 
-        // New Gram row: <f_new, f_a> for every kept residual + self.
-        std::vector<double> row(fs.size() + 1, 0.0);
-        for (std::size_t a = 0; a < fs.size(); ++a) {
-            double dot = 0.0;
-            const std::vector<double> &fa = fs[a];
-            for (std::size_t e = 0; e < jobs; ++e)
-                dot += f[e] * fa[e];
-            row[a] = dot;
-            gram[a].push_back(dot);
+        const double *keptF[kMaxAccelSlots];
+        for (std::size_t a = 0; a < kept; ++a)
+            keptF[a] = fs[slot(a)].data();
+        static constexpr auto kPass = residualAndDotsTable(
+            std::make_index_sequence<kMaxAccelSlots>{});
+        double dots[kMaxAccelSlots];
+        kPass[kept](x.data(), g.data(), fs[s].data(), keptF, jobs,
+                    dots);
+        for (std::size_t a = 0; a < kept; ++a) {
+            gram[slot(a)][s] = dots[a];
+            gram[s][slot(a)] = dots[a];
         }
-        double self = 0.0;
-        for (std::size_t e = 0; e < jobs; ++e)
-            self += f[e] * f[e];
-        row.back() = self;
-        gram.push_back(std::move(row));
-
-        xs.push_back(std::move(x));
-        gs.push_back(g);
-        fs.push_back(std::move(f));
-
-        const std::size_t cap = static_cast<std::size_t>(depth) + 1;
-        if (xs.size() > cap) {
-            xs.pop_front();
-            gs.pop_front();
-            fs.pop_front();
-            gram.pop_front();
-            for (auto &r : gram)
-                r.erase(r.begin());
-        }
+        gram[s][s] = dots[kept];
     }
 
     /**
@@ -100,24 +132,26 @@ struct AndersonState
     bool
     proposal(std::vector<double> &out) const
     {
-        const std::size_t k = fs.size();
+        const std::size_t k = count;
         if (k < 2)
             return false;
         const std::size_t mm = k - 1;
-        const std::size_t last = k - 1;
+        const std::size_t last = slot(k - 1);
         const double gll = gram[last][last];
 
         // A gamma = rhs over differences d_i = f_i - f_last.
-        std::vector<double> A(mm * mm);
-        std::vector<double> rhs(mm);
+        double A[kMaxAccelSlots * kMaxAccelSlots];
+        double rhs[kMaxAccelSlots];
         double trace = 0.0;
         for (std::size_t a = 0; a < mm; ++a) {
+            const std::size_t sa = slot(a);
             for (std::size_t b = 0; b < mm; ++b) {
-                A[a * mm + b] = gram[a][b] - gram[a][last] -
-                                gram[last][b] + gll;
+                const std::size_t sb = slot(b);
+                A[a * mm + b] = gram[sa][sb] - gram[sa][last] -
+                                gram[last][sb] + gll;
             }
             trace += A[a * mm + a];
-            rhs[a] = gll - gram[a][last];
+            rhs[a] = gll - gram[sa][last];
         }
         if (!(trace > 0.0) || !std::isfinite(trace))
             return false;
@@ -126,7 +160,7 @@ struct AndersonState
             A[a * mm + a] += reg;
 
         // Gaussian elimination with partial pivoting (mm <= 8).
-        std::vector<std::size_t> perm(mm);
+        std::size_t perm[kMaxAccelSlots];
         for (std::size_t a = 0; a < mm; ++a)
             perm[a] = a;
         for (std::size_t col = 0; col < mm; ++col) {
@@ -152,7 +186,7 @@ struct AndersonState
                 rhs[perm[r]] -= factor * rhs[perm[col]];
             }
         }
-        std::vector<double> gamma(mm);
+        double gamma[kMaxAccelSlots];
         for (std::size_t col = mm; col-- > 0;) {
             double v = rhs[perm[col]];
             for (std::size_t c = col + 1; c < mm; ++c)
@@ -170,20 +204,30 @@ struct AndersonState
         for (std::size_t a = 0; a < mm; ++a)
             gsum += std::abs(gamma[a]);
         if (gsum > maxMixWeight) {
-            for (auto &g : gamma)
-                g *= maxMixWeight / gsum;
+            for (std::size_t a = 0; a < mm; ++a)
+                gamma[a] *= maxMixWeight / gsum;
         }
 
-        // out = g_last + sum_i gamma_i (g_i - g_last).
-        out = gs[last];
+        // out = g_last + sum_i gamma_i (g_i - g_last), element by
+        // element, adding the terms in window order.
+        const double *gl = gs[last].data();
+        const double *gi[kMaxAccelSlots];
+        double ga[kMaxAccelSlots];
+        std::size_t terms = 0;
         for (std::size_t a = 0; a < mm; ++a) {
-            const double ga = gamma[a];
-            if (ga == 0.0)
+            if (gamma[a] == 0.0)
                 continue;
-            const std::vector<double> &gi = gs[a];
-            const std::vector<double> &gl = gs[last];
-            for (std::size_t e = 0; e < out.size(); ++e)
-                out[e] += ga * (gi[e] - gl[e]);
+            gi[terms] = gs[slot(a)].data();
+            ga[terms] = gamma[a];
+            ++terms;
+        }
+        const std::size_t jobs = gs[last].size();
+        out.resize(jobs);
+        for (std::size_t e = 0; e < jobs; ++e) {
+            double v = gl[e];
+            for (std::size_t t = 0; t < terms; ++t)
+                v += ga[t] * (gi[t][e] - gl[e]);
+            out[e] = v;
         }
         return true;
     }
@@ -265,48 +309,17 @@ updateUserBids(const MarketUser &user, const std::vector<double> &prices,
     }
 }
 
-JobMatrix
-meanFieldSeedBids(const FisherMarket &market)
+BiddingOptions
+clearingOptions(BiddingOptions base, const ClearingContext &ctx)
 {
-    market.validate();
-    const std::size_t n = market.userCount();
-    double totalBudget = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        totalBudget += market.user(i).budget;
-    double totalCapacity = 0.0;
-    for (std::size_t j = 0; j < market.serverCount(); ++j)
-        totalCapacity += market.capacity(j);
-    const double pbar = totalBudget / totalCapacity;
-
-    JobMatrix bids(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &user = market.user(i);
-        const std::size_t jobs = user.jobs.size();
-        bids[i].resize(jobs);
-        // Fair-share cores per job at the uniform price, then one
-        // analytic proportional-response step against it.
-        const double xbar =
-            user.budget / (static_cast<double>(jobs) * pbar);
-        double total = 0.0;
-        for (std::size_t k = 0; k < jobs; ++k) {
-            const auto &job = user.jobs[k];
-            const double propensity =
-                std::sqrt(job.parallelFraction * job.weight) *
-                std::sqrt(pbar) *
-                amdahlSpeedup(job.parallelFraction, xbar);
-            bids[i][k] = propensity;
-            total += propensity;
-        }
-        if (total <= 0.0) {
-            const double even =
-                user.budget / static_cast<double>(jobs);
-            std::fill(bids[i].begin(), bids[i].end(), even);
-            continue;
-        }
-        for (double &b : bids[i])
-            b = user.budget * b / total;
-    }
-    return bids;
+    base.transport = ctx.transport;
+    base.kernelCache = ctx.kernelCache;
+    const bool sharded = ctx.sharding && ctx.sharding->enabled();
+    if (ctx.accel && !sharded &&
+        base.schedule == UpdateSchedule::Synchronous &&
+        !(ctx.transport.lossRate > 0.0))
+        base.accel.enabled = true;
+    return base;
 }
 
 BiddingResult
@@ -399,8 +412,9 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
         exec::bidUpdateGrain(detail::kUserGrain);
 
     const bool accel = opts.accel.enabled;
-    AndersonState anderson{opts.accel.depth, opts.accel.ridge,
-                           opts.accel.maxMixWeight, {}, {}, {}, {}};
+    // accel.depth is validated only when acceleration is on.
+    AndersonState anderson(accel ? opts.accel.depth : 0,
+                           opts.accel.ridge, opts.accel.maxMixWeight);
     std::vector<double> accel_prev;
     std::vector<double> accel_mix;
     std::vector<double> accel_candidate;
@@ -506,11 +520,10 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
             // strictly below the plain step's; the evaluation pass is
             // never wasted, because on acceptance g(candidate) is
             // exactly the next iterate (and joins the history). On
-            // rejection the plain step stands untouched and the
-            // window restarts — a poisoned history would keep
-            // proposing the same bad direction.
+            // rejection the plain step stands untouched; the window
+            // keeps its pairs, the plain step's among them.
             const double plain_delta = max_delta;
-            anderson.push(std::move(accel_prev), kernel.bids);
+            anderson.push(accel_prev, kernel.bids);
             double accel_delta = -1.0;
             bool accepted = false;
             if (anderson.proposal(accel_mix)) {
@@ -532,8 +545,7 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
                     accel_prices, accel_next_prices, m);
                 if (accel_delta < plain_delta) {
                     accepted = true;
-                    anderson.push(std::move(accel_candidate),
-                                  kernel.bids);
+                    anderson.push(accel_candidate, kernel.bids);
                     std::swap(new_prices, accel_next_prices);
                     max_delta = accel_delta;
                     ++result.accelAccepted;

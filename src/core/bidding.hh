@@ -113,9 +113,9 @@ struct DeadlineOptions
  * Rejection rule (the guaranteed fallback): the proposal is accepted
  * only when its posted-price residual is strictly smaller than the
  * plain step's. On rejection the round serves the plain PRD step
- * unchanged and the history window is cleared, so the iteration is
- * never worse than undamped proportional response — in the worst case
- * it *is* undamped proportional response.
+ * unchanged (the window keeps its pairs), so the iteration is never
+ * worse than undamped proportional response — in the worst case it
+ * *is* undamped proportional response.
  *
  * Off (the default) the solve path is bit-identical to a build
  * without this feature. Incompatible with the GaussSeidel schedule,
@@ -246,24 +246,25 @@ struct ClearingContext
     const net::ShardedOptions *sharding = nullptr;
     /** Persistent transport state; may be null for a one-shot solve. */
     net::NetSession *session = nullptr;
-    /** Non-null seeds bidding from a previous equilibrium (delta
-     *  re-clearing); shape must match the market. */
-    const JobMatrix *initialBids = nullptr;
     /** Non-null enables cross-epoch CSR reuse (bitwise invisible). */
     KernelCache *kernelCache = nullptr;
+    /**
+     * Clear with Anderson acceleration (default AccelOptions) from the
+     * even split — eval/online's delta re-clearing. Honoured only where
+     * the accelerator applies: an in-process Synchronous solve over a
+     * sound transport. Elsewhere (sharded clearing, bid loss,
+     * Gauss-Seidel) the clear runs plain, so no context reaches the
+     * accelerator's option fatals.
+     */
+    bool accel = false;
 };
 
 /**
- * Mean-field warm-start seed for a cold market: assume the uniform
- * price p̄ = total budget / total capacity every large market
- * converges toward, give each job its user's fair share of cores at
- * that price, and run one analytic proportional-response update. The
- * result is a valid warm start (positive, budget-conserving after
- * initializeBids' renormalization) that typically lands within a few
- * rounds of the equilibrium on populations drawn from a common f/w
- * distribution. Deterministic and serial.
+ * The bidding options of one clear: @p base with @p ctx's transport,
+ * kernel cache and (where it applies) acceleration merged in.
  */
-JobMatrix meanFieldSeedBids(const FisherMarket &market);
+BiddingOptions clearingOptions(BiddingOptions base,
+                               const ClearingContext &ctx);
 
 /**
  * Amdahl Bidding as a distributed epoch-barrier protocol over the

@@ -42,17 +42,22 @@ hamiltonRound(const std::vector<double> &fractional, int capacity)
               " jobs; the fractional allocation must exhaust the server");
     }
 
-    // Hand out excess cores in descending order of fractional part
-    // (ties broken by index for determinism).
-    std::vector<std::size_t> order(fractional.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return remainders[a] > remainders[b];
-                     });
-    for (std::size_t k = 0; k < order.size() && excess > 0; ++k) {
-        ++rounded[order[k]];
-        --excess;
+    // Hand out excess cores in descending order of fractional part,
+    // ties broken by index for determinism. That order is strict and
+    // total, so selecting its first `excess` entries grants exactly
+    // the cores a full sort would, without ordering the rest.
+    if (excess > 0) {
+        std::vector<std::size_t> order(fractional.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        const auto winners = order.begin() + excess;
+        std::nth_element(order.begin(), winners, order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return remainders[a] > remainders[b] ||
+                                    (remainders[a] == remainders[b] &&
+                                     a < b);
+                         });
+        for (auto it = order.begin(); it != winners; ++it)
+            ++rounded[*it];
     }
     // Contract: Hamilton rounding never over-grants the server and
     // never takes a core away that the floor already granted.
@@ -82,29 +87,45 @@ roundOutcome(const FisherMarket &market, const MarketOutcome &outcome)
         fatal("outcome allocation has wrong user count");
 
     std::vector<std::vector<int>> integral(n);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        if (outcome.allocation[i].size() != market.user(i).jobs.size())
+            fatal("outcome allocation has wrong job count for user ", i);
         integral[i].assign(outcome.allocation[i].size(), 0);
+    }
 
-    // Per server: gather that server's job shares, round, scatter back.
-    for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        std::vector<double> shares;
-        std::vector<std::pair<std::size_t, std::size_t>> owners;
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto &jobs = market.user(i).jobs;
-            for (std::size_t k = 0; k < jobs.size(); ++k) {
-                if (jobs[k].server == j) {
-                    shares.push_back(outcome.allocation[i][k]);
-                    owners.emplace_back(i, k);
-                }
-            }
-        }
-        if (shares.empty())
+    // Bucket every (user, job) by server with a counting sort in
+    // user-major order — buildKernel's CSR — so each server's shares
+    // reach hamiltonRound in (user, job) order, one pass over the jobs.
+    const std::size_t m = market.serverCount();
+    std::vector<std::size_t> offset(m + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (const auto &job : market.user(i).jobs)
+            ++offset[job.server + 1];
+    }
+    for (std::size_t j = 0; j < m; ++j)
+        offset[j + 1] += offset[j];
+    std::vector<std::pair<std::size_t, std::size_t>> owners(offset[m]);
+    std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &jobs = market.user(i).jobs;
+        for (std::size_t k = 0; k < jobs.size(); ++k)
+            owners[cursor[jobs[k].server]++] = {i, k};
+    }
+
+    std::vector<double> shares;
+    for (std::size_t j = 0; j < m; ++j) {
+        if (offset[j] == offset[j + 1])
             continue;
+        shares.clear();
+        for (std::size_t s = offset[j]; s < offset[j + 1]; ++s)
+            shares.push_back(
+                outcome.allocation[owners[s].first][owners[s].second]);
         const int capacity =
             static_cast<int>(std::llround(market.capacity(j)));
         const auto rounded = hamiltonRound(shares, capacity);
-        for (std::size_t k = 0; k < owners.size(); ++k)
-            integral[owners[k].first][owners[k].second] = rounded[k];
+        for (std::size_t s = offset[j]; s < offset[j + 1]; ++s)
+            integral[owners[s].first][owners[s].second] =
+                rounded[s - offset[j]];
     }
     return integral;
 }

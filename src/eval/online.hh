@@ -118,25 +118,23 @@ struct AdmissionOptions
  *
  * Successive epochs clear nearly-identical markets: the tenant
  * population is fixed, and most jobs survive from one epoch to the
- * next. Delta re-clearing exploits that continuity two ways, both
- * bitwise-invisible to the equilibrium contract (the solver's
- * invariants, convergence test, and audit are unchanged — only the
- * starting point and the CSR build cost move):
+ * next. Two mechanisms make those re-clears cheap (DESIGN.md §16.3):
  *
  *  - `reuseKernel` keeps the solver's CSR kernel alive across epochs
  *    in OnlineRunState and patches only the rows whose users changed,
  *    instead of rebuilding the whole structure. Structure or value
  *    mismatches are detected by exact comparison (never hashing), so
  *    a reused kernel is byte-for-byte the kernel a cold build would
- *    produce.
- *  - `warmStartBids` seeds each epoch's bids from the previous
- *    equilibrium: surviving jobs restart at their last-cleared bids,
- *    new jobs at an even split of their tenant's budget. When the
- *    fraction of jobs with no previous bid exceeds
- *    `maxChurnFraction` (or on a cold start), the seed falls back to
- *    the analytic mean-field estimate (core::meanFieldSeedBids),
- *    which beats both an even split and stale bids when most of the
- *    market is new.
+ *    produce: the option is bitwise invisible.
+ *  - `warmStartBids` clears each epoch with Anderson acceleration
+ *    (core::ClearingContext::accel) from the even split, where the
+ *    accelerator applies — in-process clearing over a sound
+ *    transport; sharded or lossy clears run plain. The option keeps
+ *    its historical name: it once seeded the clear from the previous
+ *    equilibrium, which measured slower than a cold start because
+ *    proportional response climbs away from the seed's near-zero
+ *    bids only geometrically. An accelerated clear changes the
+ *    equilibrium's low-order bits, never its certificate.
  *
  * Disabled by default, in which case the run is bit-identical to a
  * build without the feature.
@@ -146,15 +144,9 @@ struct DeltaClearingOptions
     /** Keep (and patch) the bid kernel across epochs. */
     bool reuseKernel = false;
 
-    /** Seed bids from the previous epoch's equilibrium. */
+    /** Clear each epoch with Anderson acceleration from the even
+     *  split, where the accelerator applies (see above). */
     bool warmStartBids = false;
-
-    /**
-     * Warm-start churn threshold: when more than this fraction of the
-     * epoch's jobs have no previous-equilibrium bid, warm bids are
-     * judged stale and the mean-field seed is used instead.
-     */
-    double maxChurnFraction = 0.5;
 
     /** @return true when any delta mechanism is on. */
     bool enabled() const { return reuseKernel || warmStartBids; }
@@ -425,16 +417,6 @@ struct OnlineRunState
      *  OnlineOptions::net enables sharded clearing. Persisted so a
      *  crash mid-partition recovers onto the same network timeline. */
     net::NetSession net;
-    /**
-     * Previous equilibrium's bid per job-log entry (indexed like
-     * `jobs`; -1 marks a job with no cleared bid — done, unplaced, or
-     * arrived after the last clearing). Empty until the first cleared
-     * epoch of a delta-enabled run, and always empty otherwise, so a
-     * delta-off state encodes byte-identically to one from a build
-     * without the feature's data. Persisted: a recovered run warm
-     * starts exactly where the original would have.
-     */
-    std::vector<double> lastBids;
     /**
      * Cross-epoch bid-kernel cache (DeltaClearingOptions::reuseKernel).
      * Deliberately *not* serialized: a cached kernel is bitwise

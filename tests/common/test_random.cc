@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 
@@ -163,20 +165,29 @@ TEST(Random, PoissonZeroMean)
 
 TEST(Random, PoissonMomentsMatch)
 {
+    // lambda = 2000 exercises the split path: a single Knuth draw
+    // underflows exp(-lambda) and returns ~745 every time.
     Rng rng(67);
-    const double lambda = 3.0;
-    const int n = 50000;
-    double sum = 0.0, sq = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const int k = rng.poisson(lambda);
-        EXPECT_GE(k, 0);
-        sum += k;
-        sq += static_cast<double>(k) * k;
+    for (const double lambda : {3.0, 2000.0}) {
+        const int n = lambda > 100.0 ? 2000 : 50000;
+        double sum = 0.0, sq = 0.0;
+        for (int i = 0; i < n; ++i) {
+            const int k = rng.poisson(lambda);
+            EXPECT_GE(k, 0);
+            sum += k;
+            sq += static_cast<double>(k) * k;
+        }
+        const double mean_hat = sum / n;
+        const double var_hat = sq / n - mean_hat * mean_hat;
+        // Five standard errors of each estimate.
+        EXPECT_NEAR(mean_hat, lambda,
+                    std::max(0.05, 5.0 * std::sqrt(lambda / n)))
+            << "lambda " << lambda;
+        EXPECT_NEAR(var_hat, lambda,
+                    std::max(0.15,
+                             5.0 * lambda * std::sqrt(2.0 / n)))
+            << "lambda " << lambda;
     }
-    const double mean_hat = sum / n;
-    const double var_hat = sq / n - mean_hat * mean_hat;
-    EXPECT_NEAR(mean_hat, lambda, 0.05);
-    EXPECT_NEAR(var_hat, lambda, 0.15);
 }
 
 TEST(Random, PoissonRejectsNegativeMean)

@@ -1,8 +1,8 @@
 /**
  * @file
  * The bid-update kernel contract: scalar/SIMD bit-identity, grain and
- * kernel-mode invariance, Anderson acceleration, the kernel cache,
- * and the mean-field warm start.
+ * kernel-mode invariance, Anderson acceleration, and the kernel
+ * cache.
  *
  * The load-bearing claims (DESIGN.md §16), each pinned here with
  * exact `==` where the contract is bitwise:
@@ -18,7 +18,8 @@
  *    as solving fresh.
  *  - Anderson acceleration converges in fewer rounds to the same
  *    equilibrium (within tolerance — acceleration legitimately
- *    changes low-order bits) and is self-reproducing.
+ *    changes low-order bits), is self-reproducing, and follows a
+ *    pinned trajectory.
  */
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/bidding.hh"
@@ -381,6 +383,40 @@ TEST(Acceleration, IsThreadAndGrainIndependent)
     }
 }
 
+/** CRC of an accelerated solve's prices, bids, and round tallies. */
+std::uint32_t
+accelDigest(const FisherMarket &market, int depth)
+{
+    BiddingOptions opts = accelOptions();
+    opts.accel.depth = depth;
+    const auto result = solveAmdahlBidding(market, opts);
+    Crc32 digest;
+    digest.updateU32(static_cast<std::uint32_t>(result.iterations));
+    digest.updateU32(static_cast<std::uint32_t>(result.accelAccepted));
+    digest.updateU32(static_cast<std::uint32_t>(result.accelRejected));
+    for (const double p : result.prices)
+        digest.updateF64(p);
+    for (const auto &row : result.bids) {
+        for (const double b : row)
+            digest.updateF64(b);
+    }
+    return digest.value();
+}
+
+TEST(Acceleration, TrajectoryIsPinned)
+{
+    // The accelerated iterate path is not bit-identical to plain PRD,
+    // but it is a fixed function of the market: the history ring, the
+    // fused residual/Gram pass and the mix must reproduce these exact
+    // bytes (shallow and deep windows, wraps and rejections included).
+    const auto small = testMarket(256, 6);
+    const auto wide = testMarket(640, 40, 0xacce1);
+    EXPECT_EQ(accelDigest(small, 1), 828794605u);
+    EXPECT_EQ(accelDigest(small, 3), 2796705339u);
+    EXPECT_EQ(accelDigest(wide, 3), 2426759271u);
+    EXPECT_EQ(accelDigest(wide, 8), 1003430753u);
+}
+
 TEST(Acceleration, OffPathIsUntouched)
 {
     // accel.enabled=false must be byte-identical to a default-options
@@ -388,7 +424,7 @@ TEST(Acceleration, OffPathIsUntouched)
     // not existing.
     const auto market = testMarket();
     BiddingOptions off;
-    off.accel.depth = 5; // Ignored while disabled.
+    off.accel.depth = -3; // Ignored (not even validated) while disabled.
     expectIdentical(solveAmdahlBidding(market, off),
                     solveAmdahlBidding(market, BiddingOptions{}),
                     "accel disabled");
@@ -412,38 +448,6 @@ TEST(Acceleration, ValidatesItsOptions)
     bad = accelOptions();
     bad.schedule = UpdateSchedule::GaussSeidel;
     EXPECT_THROW(solveAmdahlBidding(market, bad), FatalError);
-}
-
-// ---------------------------------------------------------------------
-// Mean-field warm start.
-
-TEST(MeanFieldSeed, IsDeterministicPositiveAndWellShaped)
-{
-    const auto market = testMarket();
-    const JobMatrix seed = meanFieldSeedBids(market);
-    ASSERT_EQ(seed.size(), market.userCount());
-    for (std::size_t i = 0; i < seed.size(); ++i) {
-        ASSERT_EQ(seed[i].size(), market.user(i).jobs.size());
-        for (const double bid : seed[i])
-            EXPECT_GT(bid, 0.0);
-    }
-    EXPECT_EQ(meanFieldSeedBids(market), seed);
-}
-
-TEST(MeanFieldSeed, SeededSolveReachesTheSameEquilibrium)
-{
-    const auto market = testMarket(128, 6);
-    BiddingOptions cold;
-    cold.priceTolerance = 1e-8;
-    cold.maxIterations = 20000;
-    const auto reference = solveAmdahlBidding(market, cold);
-    ASSERT_TRUE(reference.converged);
-
-    BiddingOptions seeded = cold;
-    seeded.initialBids = meanFieldSeedBids(market);
-    const auto warm = solveAmdahlBidding(market, seeded);
-    ASSERT_TRUE(warm.converged);
-    EXPECT_LT(priceDisagreement(warm, reference), 1e-5);
 }
 
 } // namespace

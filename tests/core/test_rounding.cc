@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "core/bidding.hh"
 #include "core/rounding.hh"
 
@@ -126,6 +131,111 @@ TEST(RoundOutcome, StaysWithinOneCoreOfFractional)
                                result.allocation[i][k]),
                       1.0 + 1e-9);
         }
+    }
+}
+
+/** Textbook largest remainder: floors, then a stable sort. */
+std::vector<int>
+referenceHamilton(const std::vector<double> &shares, int capacity)
+{
+    std::vector<int> rounded(shares.size());
+    std::vector<std::size_t> order(shares.size());
+    int excess = capacity;
+    for (std::size_t k = 0; k < shares.size(); ++k) {
+        rounded[k] = static_cast<int>(std::floor(shares[k] + 1e-12));
+        excess -= rounded[k];
+        order[k] = k;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return shares[a] - rounded[a] >
+                                shares[b] - rounded[b];
+                     });
+    for (std::size_t k = 0; k < order.size() && excess > 0; ++k, --excess)
+        ++rounded[order[k]];
+    return rounded;
+}
+
+/** Reference: one Hamilton rounding per server over a full job scan. */
+std::vector<std::vector<int>>
+roundPerServer(const FisherMarket &market, const MarketOutcome &outcome)
+{
+    std::vector<std::vector<int>> integral(market.userCount());
+    for (std::size_t i = 0; i < market.userCount(); ++i)
+        integral[i].assign(market.user(i).jobs.size(), 0);
+    for (std::size_t j = 0; j < market.serverCount(); ++j) {
+        std::vector<double> shares;
+        std::vector<std::pair<std::size_t, std::size_t>> owners;
+        for (std::size_t i = 0; i < market.userCount(); ++i) {
+            const auto &jobs = market.user(i).jobs;
+            for (std::size_t k = 0; k < jobs.size(); ++k) {
+                if (jobs[k].server == j) {
+                    shares.push_back(outcome.allocation[i][k]);
+                    owners.emplace_back(i, k);
+                }
+            }
+        }
+        if (shares.empty())
+            continue;
+        const auto rounded = referenceHamilton(
+            shares, static_cast<int>(std::llround(market.capacity(j))));
+        for (std::size_t s = 0; s < owners.size(); ++s)
+            integral[owners[s].first][owners[s].second] = rounded[s];
+    }
+    return integral;
+}
+
+TEST(RoundOutcome, MatchesPerServerReferenceOnRandomMarkets)
+{
+    // Random markets with idle servers, several jobs of one user on
+    // one server, and shares drawn from a few levels so remainders
+    // tie: tie-breaking is by position, so any change in the order a
+    // server's shares are gathered would show up here.
+    Rng rng(0x60d);
+    for (int trial = 0; trial < 50; ++trial) {
+        const int servers = static_cast<int>(rng.uniformInt(1, 12));
+        std::vector<double> capacities;
+        for (int j = 0; j < servers; ++j)
+            capacities.push_back(
+                static_cast<double>(rng.uniformInt(1, 32)));
+        FisherMarket market(capacities);
+        const int users = static_cast<int>(rng.uniformInt(1, 30));
+        for (int i = 0; i < users; ++i) {
+            MarketUser user{"u" + std::to_string(i), 1.0, {}};
+            const int jobs = static_cast<int>(rng.uniformInt(1, 5));
+            for (int k = 0; k < jobs; ++k) {
+                user.jobs.push_back(
+                    {static_cast<std::size_t>(
+                         rng.uniformInt(0, servers - 1)),
+                     0.9, 1.0});
+            }
+            market.addUser(std::move(user));
+        }
+
+        // Shares on each server: quantized weights scaled to exhaust
+        // the server's capacity.
+        MarketOutcome outcome;
+        outcome.allocation.resize(market.userCount());
+        std::vector<double> weightSum(capacities.size(), 0.0);
+        for (std::size_t i = 0; i < market.userCount(); ++i) {
+            for (const auto &job : market.user(i).jobs) {
+                const double w =
+                    static_cast<double>(rng.uniformInt(1, 4));
+                outcome.allocation[i].push_back(w);
+                weightSum[job.server] += w;
+            }
+        }
+        for (std::size_t i = 0; i < market.userCount(); ++i) {
+            const auto &jobs = market.user(i).jobs;
+            for (std::size_t k = 0; k < jobs.size(); ++k) {
+                outcome.allocation[i][k] *=
+                    capacities[jobs[k].server] /
+                    weightSum[jobs[k].server];
+            }
+        }
+        EXPECT_EQ(roundOutcome(market, outcome),
+                  roundPerServer(market, outcome))
+            << "trial " << trial;
     }
 }
 

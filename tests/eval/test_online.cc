@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "alloc/amdahl_bidding_policy.hh"
 #include "alloc/fallback_policy.hh"
 #include "alloc/proportional_share.hh"
 #include "common/logging.hh"
+#include "core/bidding.hh"
+#include "core/market.hh"
 #include "eval/online.hh"
 
 namespace amdahl::eval {
@@ -262,9 +266,9 @@ TEST(Online, KernelReuseIsBitwiseInvisible)
 {
     // reuseKernel is a pure structural cache: the run with it on must
     // be byte-identical to the plain run — same equilibria, same job
-    // log, same histories. (warmStartBids legitimately changes
-    // low-order equilibrium bits, so it gets determinism tests, not
-    // an identity test.)
+    // log, same histories. (warmStartBids accelerates the clears, which
+    // legitimately changes low-order equilibrium bits, so it gets
+    // determinism and certificate tests, not an identity test.)
     CharacterizationCache cache;
     OnlineSimulator plain(cache, smallScenario());
     const alloc::AmdahlBiddingPolicy ab;
@@ -291,9 +295,9 @@ TEST(Online, DeltaRunsAreBitIdenticalGivenSeed)
 
 TEST(Online, DeltaRunCompletesComparableWork)
 {
-    // Warm starts change which equilibrium bits the solver lands on,
-    // never the economics: the delta run must complete the same jobs
-    // to within the usual cross-policy slack.
+    // Accelerated clears change which equilibrium bits the solver
+    // lands on, never the economics: the delta run must complete the
+    // same jobs to within the usual cross-policy slack.
     CharacterizationCache cache;
     OnlineSimulator plain(cache, smallScenario());
     const alloc::AmdahlBiddingPolicy ab;
@@ -307,6 +311,121 @@ TEST(Online, DeltaRunCompletesComparableWork)
     EXPECT_EQ(delta.jobsArrived, reference.jobsArrived);
     EXPECT_NEAR(delta.workCompleted, reference.workCompleted,
                 0.02 * reference.workCompleted);
+}
+
+TEST(Online, DeltaAccelerationStaysOffWhereItCannotApply)
+{
+    // Acceleration needs an in-process clear over a sound transport.
+    // A lossy or sharded delta run clears plain — byte-identical to
+    // the same run without delta re-clearing — and never reaches the
+    // accelerator's option fatals.
+    CharacterizationCache cache;
+    const alloc::FallbackPolicy fb;
+    OnlineOptions sharded = smallScenario();
+    sharded.net.shards = 2;
+    for (const OnlineOptions &plain : {churnScenario(), sharded}) {
+        OnlineOptions delta = plain;
+        delta.delta.warmStartBids = true;
+        OnlineSimulator plainSim(cache, plain);
+        OnlineSimulator deltaSim(cache, delta);
+        expectBitIdentical(deltaSim.run(fb, FractionSource::Estimated),
+                           plainSim.run(fb, FractionSource::Estimated));
+    }
+}
+
+/** Forwarding policy that keeps every market it clears and the
+ *  outcome it cleared it to. */
+class ClearingRecorder final : public alloc::AllocationPolicy
+{
+  public:
+    explicit ClearingRecorder(const alloc::AllocationPolicy &inner)
+        : inner_(inner)
+    {}
+
+    std::string name() const override { return inner_.name(); }
+
+    alloc::AllocationResult
+    allocate(const core::FisherMarket &market) const override
+    {
+        return keep(market, inner_.allocate(market));
+    }
+
+    alloc::AllocationResult
+    allocate(const core::FisherMarket &market,
+             const core::BidTransportFaults &faults) const override
+    {
+        return keep(market, inner_.allocate(market, faults));
+    }
+
+    alloc::AllocationResult
+    allocate(const core::FisherMarket &market,
+             const core::ClearingContext &ctx) const override
+    {
+        return keep(market, inner_.allocate(market, ctx));
+    }
+
+    mutable std::vector<core::FisherMarket> markets;
+    mutable std::vector<core::MarketOutcome> outcomes;
+
+  private:
+    alloc::AllocationResult
+    keep(const core::FisherMarket &market,
+         alloc::AllocationResult result) const
+    {
+        markets.push_back(market);
+        outcomes.push_back(result.outcome);
+        return result;
+    }
+
+    const alloc::AllocationPolicy &inner_;
+};
+
+TEST(Online, AcceleratedDeltaClearsAreCertified)
+{
+    // Accelerated clears are not bit-identical to plain ones, so they
+    // are judged by the equilibrium certificate: on every market a
+    // delta run cleared, the served outcome's optimality gap is at
+    // most twice that of a plain cold clear of the same market.
+    CharacterizationCache cache;
+    OnlineOptions opts = smallScenario();
+    opts.users = 48;
+    opts.servers = 6;
+    opts.arrivalsPerServerEpoch = 3.0;
+    opts.horizonSeconds = 1200.0;
+    opts.delta.reuseKernel = true;
+    opts.delta.warmStartBids = true;
+    OnlineSimulator sim(cache, opts);
+    const alloc::FallbackPolicy fb;
+    const ClearingRecorder recorder(fb);
+    sim.run(recorder, FractionSource::Estimated);
+    ASSERT_GT(recorder.markets.size(), 10u);
+
+    core::BiddingOptions accelerated;
+    accelerated.accel.enabled = true;
+    int accelRounds = 0;
+    int coldRounds = 0;
+    for (std::size_t c = 0; c < recorder.markets.size(); ++c) {
+        const auto &market = recorder.markets[c];
+        const auto &served = recorder.outcomes[c];
+        ASSERT_TRUE(served.converged) << "clear " << c;
+        // The served outcome is the accelerated solve's, bit for bit.
+        const auto fast = core::solveAmdahlBidding(market, accelerated);
+        ASSERT_EQ(served.prices, fast.prices) << "clear " << c;
+        ASSERT_EQ(served.bids, fast.bids) << "clear " << c;
+
+        const auto cold = core::solveAmdahlBidding(market);
+        ASSERT_TRUE(cold.converged) << "clear " << c;
+        // Gaps under 1e-8 — two orders below what the 1e-6 price
+        // tolerance resolves — count as exact.
+        const double gap =
+            core::verifyEquilibrium(market, served).maxOptimalityGap;
+        const double coldGap =
+            core::verifyEquilibrium(market, cold).maxOptimalityGap;
+        EXPECT_LE(gap, std::max(2.0 * coldGap, 1e-8)) << "clear " << c;
+        accelRounds += served.iterations;
+        coldRounds += cold.iterations;
+    }
+    EXPECT_LT(accelRounds, coldRounds);
 }
 
 TEST(Online, IdenticalArrivalStreamAcrossPoliciesUnderFaults)

@@ -330,11 +330,12 @@ deltaScenario()
     return opts;
 }
 
-TEST(Recovery, DeltaStateRoundTripsWithItsWarmStartBids)
+TEST(Recovery, DeltaStateRoundTripsAndResumesIdentically)
 {
-    // Delta re-clearing makes the previous equilibrium part of the
-    // run state (OnlineRunState::lastBids): the encoding must carry
-    // it, and a decoded state must resume bit-identically.
+    // Delta re-clearing keeps no equilibrium in the run state: its
+    // accelerated clears start from the even split, and the kernel
+    // cache is never serialized. A decoded mid-run state must
+    // re-encode to the same bytes and resume bit-identically.
     CharacterizationCache cache;
     const OnlineOptions opts = deltaScenario();
     OnlineSimulator sim(cache, opts);
@@ -346,16 +347,17 @@ TEST(Recovery, DeltaStateRoundTripsWithItsWarmStartBids)
     OnlineRunState state = sim.initState(ab);
     for (int e = 0; e < 4; ++e)
         sim.runEpoch(state, ab, FractionSource::Estimated, injector);
-    EXPECT_FALSE(state.lastBids.empty());
+    ASSERT_TRUE(state.kernelCache);
 
     const std::string encoded = encodeOnlineState(state, opts);
     auto decoded = decodeOnlineState(encoded, opts, ab.name());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    EXPECT_EQ(decoded.value().lastBids, state.lastBids);
     EXPECT_EQ(encodeOnlineState(decoded.value(), opts), encoded);
 
-    // Resuming the decoded state must match the uninterrupted drive.
+    // Resuming the decoded state (cold kernel cache) must match the
+    // uninterrupted drive.
     OnlineRunState resumed = decoded.take();
+    EXPECT_FALSE(resumed.kernelCache);
     sim.runEpoch(state, ab, FractionSource::Estimated, injector);
     sim.runEpoch(resumed, ab, FractionSource::Estimated, injector);
     EXPECT_EQ(crc32(encodeOnlineState(resumed, opts)),
@@ -364,9 +366,9 @@ TEST(Recovery, DeltaStateRoundTripsWithItsWarmStartBids)
 
 TEST(Recovery, KillMidRunRecoversTheDeltaOutcome)
 {
-    // The crash-recovery oracle with delta re-clearing on: warm-start
-    // bids survive the crash through the journal, so the recovered
-    // run must land on the uninterrupted outcome exactly.
+    // The crash-recovery oracle with delta re-clearing on: accelerated
+    // clears are a pure function of each epoch's market, so the
+    // recovered run must land on the uninterrupted outcome exactly.
     CharacterizationCache cache;
     OnlineSimulator sim(cache, deltaScenario());
     const alloc::AmdahlBiddingPolicy ab;
