@@ -11,9 +11,34 @@
  *
  * The paper's headline: BR's bid update costs ~22x AB's. Absolute
  * times differ on our hardware; the ratio is the reproduction target.
+ *
+ * Before the Google Benchmark cases, a table of the durability and
+ * wire codecs an online epoch pays for (`[json:codec]`, pinned in
+ * bench/baselines/codec.json): CRC-32 throughput of a byte-at-a-time
+ * reference against the slicing-by-8 implementation, encodeOnlineState
+ * throughput on a ~40k-job state, and the per-epoch state digest of a
+ * durable run, full encode + CRC against OnlineStateDigest. The
+ * `identical` column is the gate: every fast path must produce the
+ * reference's values. Pass --benchmark_filter='^$' to print the table
+ * alone.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdint>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "bench_util.hh"
+#include "common/crc32.hh"
+#include "common/random.hh"
+#include "common/stats.hh"
+#include "eval/online.hh"
+#include "robustness/fault_injector.hh"
 
 #include "alloc/amdahl_bidding_policy.hh"
 #include "alloc/best_response.hh"
@@ -165,6 +190,201 @@ BM_PF_FullSolve(benchmark::State &state)
 }
 BENCHMARK(BM_PF_FullSolve)->Unit(benchmark::kMillisecond);
 
+// ---------------------------------------------------------------------
+// Codec table
+// ---------------------------------------------------------------------
+
+/** The textbook byte-at-a-time CRC-32, the reference for the table. */
+std::uint32_t
+bytewiseCrc(const std::string &bytes)
+{
+    static const std::array<std::uint32_t, 256> table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const char b : bytes)
+        c = table[(c ^ static_cast<unsigned char>(b)) & 0xFFu] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
+/** @return Best-of-@p reps seconds per call of @p fn (@p calls per rep). */
+template <typename Fn>
+double
+bestSecondsPerCall(int reps, int calls, Fn &&fn)
+{
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int c = 0; c < calls; ++c)
+            fn();
+        const double seconds =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count() /
+            calls;
+        if (r == 0 || seconds < best)
+            best = seconds;
+    }
+    return best;
+}
+
+/** The benchmark's durable_long shape: tens of jobs in flight over a
+ *  job log that reaches ~40k entries after 1000 epochs. */
+eval::OnlineOptions
+longLogScenario()
+{
+    eval::OnlineOptions opts;
+    opts.seed = 1;
+    opts.users = 256;
+    opts.servers = 8;
+    opts.arrivalsPerServerEpoch = 5.0;
+    opts.workScaleMin = 0.01;
+    opts.workScaleMax = 0.04;
+    opts.horizonSeconds = opts.epochSeconds * 1100;
+    return opts;
+}
+
+/** @return true when every codec row reproduced its reference. */
+bool
+codecTable()
+{
+    const int reps = bench::envInt("AMDAHL_BENCH_REPS", 5);
+    bool all_identical = true;
+    TablePrinter table;
+    table.addColumn("case", TablePrinter::Align::Left);
+    table.addColumn("bytes");
+    table.addColumn("reference");
+    table.addColumn("fast");
+    table.addColumn("unit", TablePrinter::Align::Left);
+    table.addColumn("identical", TablePrinter::Align::Left);
+
+    // CRC-32 at three sizes, ~32 MB of input per timed rep.
+    Rng rng(0xC0DEC);
+    for (const std::size_t size : {std::size_t{100}, std::size_t{1024},
+                                   std::size_t{3} << 20}) {
+        std::string bytes(size, '\0');
+        for (char &b : bytes)
+            b = static_cast<char>(rng.uniformInt(0, 255));
+        const int calls = static_cast<int>(
+            std::max<std::size_t>(1, (std::size_t{32} << 20) / size));
+        std::uint32_t sink = 0;
+        const double slow = bestSecondsPerCall(
+            reps, calls, [&] { sink ^= bytewiseCrc(bytes); });
+        const double fast = bestSecondsPerCall(
+            reps, calls, [&] { sink ^= crc32(bytes); });
+        benchmark::DoNotOptimize(sink);
+        const bool identical = bytewiseCrc(bytes) == crc32(bytes);
+        all_identical = all_identical && identical;
+        table.beginRow()
+            .cell(size < 1024 ? "crc32 100 B"
+                              : size == 1024 ? "crc32 1 KB" : "crc32 3 MB")
+            .cell(size)
+            .cell(size / slow / 1e6, 0)
+            .cell(size / fast / 1e6, 0)
+            .cell("MB/s")
+            .cell(identical ? "yes" : "NO");
+    }
+
+    // A durable_long-shaped state with a ~40k-job log.
+    eval::CharacterizationCache cache;
+    const eval::OnlineOptions opts = longLogScenario();
+    eval::OnlineSimulator sim(cache, opts);
+    const alloc::AmdahlBiddingPolicy ab;
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    eval::OnlineRunState state = sim.initState(ab);
+    while (state.epoch < 1000)
+        sim.runEpoch(state, ab, eval::FractionSource::Estimated, injector);
+
+    {
+        const std::string encoded = eval::encodeOnlineState(state, opts);
+        std::size_t sink = 0;
+        const double seconds = bestSecondsPerCall(reps, 4, [&] {
+            sink += eval::encodeOnlineState(state, opts).size();
+        });
+        benchmark::DoNotOptimize(sink);
+        auto decoded = eval::decodeOnlineState(encoded, opts, ab.name());
+        const bool identical =
+            decoded.ok() &&
+            eval::encodeOnlineState(decoded.value(), opts) == encoded;
+        all_identical = all_identical && identical;
+        table.beginRow()
+            .cell("encodeOnlineState")
+            .cell(encoded.size())
+            .cell("-")
+            .cell(encoded.size() / seconds / 1e6, 0)
+            .cell("MB/s")
+            .cell(identical ? "yes" : "NO");
+    }
+
+    // Per-epoch digest over the next 100 epochs: full encode + CRC
+    // (what each commit paid before) against the incremental digest.
+    {
+        eval::OnlineStateDigest digest;
+        (void)digest.update(state, opts); // fold the frozen log once
+        std::vector<double> full_us, incremental_us;
+        bool identical = true;
+        const std::size_t bytes =
+            eval::encodeOnlineState(state, opts).size();
+        while (state.epoch < sim.epochCount()) {
+            sim.runEpoch(state, ab, eval::FractionSource::Estimated,
+                         injector);
+            std::uint32_t full = 0, fast = 0;
+            full_us.push_back(1e6 * bestSecondsPerCall(1, 1, [&] {
+                full = crc32(eval::encodeOnlineState(state, opts));
+            }));
+            incremental_us.push_back(1e6 * bestSecondsPerCall(1, 1, [&] {
+                fast = digest.update(state, opts);
+            }));
+            identical = identical && full == fast;
+        }
+        all_identical = all_identical && identical;
+        table.beginRow()
+            .cell("state digest per epoch")
+            .cell(bytes)
+            .cell(median(full_us), 1)
+            .cell(median(incremental_us), 1)
+            .cell("us")
+            .cell(identical ? "yes" : "NO");
+    }
+
+    bench::printHeader(
+        "Codecs",
+        "CRC-32, state encoding and the per-epoch durable digest");
+    bench::emitTable(table, "codec");
+    std::cout << "\nreference = byte-at-a-time CRC-32 (crc rows) or "
+                 "full encodeOnlineState + CRC-32 per epoch (digest "
+                 "row, median of 100 epochs); fast = slicing-by-8 "
+                 "crc32, encodeOnlineState, and OnlineStateDigest. "
+                 "identical compares every value with its reference "
+                 "(the encode row: decode then re-encode). Best of "
+              << reps << " reps, 1 thread.\n\n";
+    bench::emitJson(table, "codec");
+    return all_identical;
+}
+
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    if (!codecTable()) {
+        std::cerr << "error: a codec fast path disagreed with its "
+                     "reference\n";
+        return 1;
+    }
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -17,16 +17,34 @@
 #ifndef AMDAHL_COMMON_CRC32_HH
 #define AMDAHL_COMMON_CRC32_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
+
+#include "common/byte_order.hh"
 
 namespace amdahl {
 
-/** @return crc32(@p seed) extended over @p size bytes at @p data. */
+/**
+ * @return crc32(@p seed) extended over @p size bytes at @p data: when
+ * @p seed is the CRC of a byte string A, the CRC of A followed by the
+ * @p size bytes. Slicing-by-8: eight bytes per step through eight
+ * table lookups, the same values as the byte-at-a-time table.
+ */
 std::uint32_t crc32Update(std::uint32_t seed, const void *data,
                           std::size_t size);
+
+/**
+ * @return The CRC of A followed by B, given only crc(A) = @p crcA,
+ * crc(B) = @p crcB and B's length @p lenB in bytes (zlib's
+ * crc32_combine: multiply A's remainder by x^(8 lenB) in GF(2) modulo
+ * the polynomial). O(log lenB), independent of A's length, so a
+ * digest can reuse the CRC of a long immutable segment without reading
+ * it again.
+ */
+std::uint32_t crc32Combine(std::uint32_t crcA, std::uint32_t crcB,
+                           std::uint64_t lenB);
 
 /** @return The CRC-32 of @p bytes (one-shot). */
 inline std::uint32_t
@@ -64,9 +82,8 @@ class Crc32
     void
     updateU64(std::uint64_t v)
     {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
+        unsigned char b[8]{};
+        storeLe64(b, v);
         update(b, sizeof b);
     }
 
@@ -74,9 +91,8 @@ class Crc32
     void
     updateU32(std::uint32_t v)
     {
-        unsigned char b[4];
-        for (int i = 0; i < 4; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
+        unsigned char b[4]{};
+        storeLe32(b, v);
         update(b, sizeof b);
     }
 
@@ -84,10 +100,7 @@ class Crc32
     void
     updateF64(double v)
     {
-        std::uint64_t bits;
-        static_assert(sizeof bits == sizeof v);
-        std::memcpy(&bits, &v, sizeof bits);
-        updateU64(bits);
+        updateU64(std::bit_cast<std::uint64_t>(v));
     }
 
     /** @return The digest over everything folded so far. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "common/check.hh"
@@ -100,6 +101,12 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 /** Layout version of encodeOnlineState; bump on any field change. */
 constexpr std::uint32_t kStateVersion = 4;
 
+/** Bytes putJob writes per job: nine 8-byte fields. */
+constexpr std::size_t kJobBytes = 9 * 8;
+
+/** Bytes putStats writes: a count and four doubles. */
+constexpr std::size_t kStatsBytes = 5 * 8;
+
 void
 putJob(durability::ByteWriter &w, const OnlineJob &job)
 {
@@ -114,6 +121,28 @@ putJob(durability::ByteWriter &w, const OnlineJob &job)
     w.putU64(static_cast<std::uint64_t>(job.epochsSinceCheckpoint));
 }
 
+/**
+ * @return @p raw as the int the encoder sign-extended into it. Any
+ * other value is rejected on @p r rather than truncated, so a decoded
+ * state always re-encodes to the bytes it came from.
+ */
+int
+toInt(durability::ByteReader &r, std::uint64_t raw)
+{
+    const auto v = static_cast<std::int64_t>(raw);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        r.reject("int field");
+    return static_cast<int>(v);
+}
+
+/** @return The next u64 as an int (see toInt). */
+int
+readInt(durability::ByteReader &r)
+{
+    return toInt(r, r.readU64());
+}
+
 OnlineJob
 readJob(durability::ByteReader &r)
 {
@@ -126,7 +155,7 @@ readJob(durability::ByteReader &r)
     job.remainingWork = r.readF64();
     job.completionSeconds = r.readF64();
     job.checkpointedWork = r.readF64();
-    job.epochsSinceCheckpoint = static_cast<int>(r.readU64());
+    job.epochsSinceCheckpoint = readInt(r);
     return job;
 }
 
@@ -181,7 +210,7 @@ readIntVector(durability::ByteReader &r)
     std::vector<int> out;
     out.reserve(raw.size());
     for (std::uint64_t x : raw)
-        out.push_back(static_cast<int>(static_cast<std::int64_t>(x)));
+        out.push_back(toInt(r, x));
     return out;
 }
 
@@ -191,10 +220,98 @@ putCount(durability::ByteWriter &w, int v)
     w.putU64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
 }
 
-int
-readCount(durability::ByteReader &r)
+/**
+ * encodeOnlineState's fields before the job log, ending with its
+ * length. Shared with OnlineStateDigest, so the two cannot drift.
+ */
+void
+putStateHead(durability::ByteWriter &w, const OnlineRunState &s,
+             const OnlineOptions &opts)
 {
-    return static_cast<int>(static_cast<std::int64_t>(r.readU64()));
+    w.putU32(kStateVersion);
+    w.putU32(onlineStateFingerprint(opts, s.metrics.policyName));
+    w.putU64(static_cast<std::uint64_t>(s.epoch));
+    for (std::uint64_t word : s.rngState)
+        w.putU64(word);
+    w.putF64Vector(s.budgets);
+    w.putU64(s.jobs.size());
+}
+
+/** encodeOnlineState's fields after the job log. */
+void
+putStateTail(durability::ByteWriter &w, const OnlineRunState &s)
+{
+    w.putU64(s.waitQueue.size());
+    for (const auto &job : s.waitQueue)
+        putJob(w, job);
+    w.putU64(static_cast<std::uint64_t>(s.inFlight));
+    w.putF64(s.queueDelaySum);
+    putCharVector(w, s.live);
+    putIntVector(w, s.placer.loads);
+    putCharVector(w, s.placer.live);
+    w.putF64Vector(s.placer.prices);
+    putIntVector(w, s.placer.sinceUpdate);
+    w.putU64(static_cast<std::uint64_t>(s.placer.nextRoundRobin));
+    putStats(w, s.occupancy);
+    putStats(w, s.weightedSpeedup);
+    w.putF64Vector(s.granted);
+    w.putF64Vector(s.entitled);
+    w.putF64Vector(s.entitledAvail);
+    w.putString(s.metrics.policyName);
+    putCount(w, s.metrics.jobsArrived);
+    putCount(w, s.metrics.jobsCompleted);
+    putCount(w, s.metrics.nonConvergedEpochs);
+    putCount(w, s.metrics.fallbackEpochsDamped);
+    putCount(w, s.metrics.fallbackEpochsProportional);
+    putCount(w, s.metrics.fallbackEpochsDeadline);
+    putCount(w, s.metrics.deadlineExpiredEpochs);
+    putCount(w, s.metrics.jobsQueued);
+    putCount(w, s.metrics.jobsShed);
+    putCount(w, s.metrics.peakQueueLength);
+    putCount(w, s.metrics.crashEvents);
+    putCount(w, s.metrics.replacements);
+    w.putF64(s.metrics.workLostSeconds);
+    w.putF64Vector(s.metrics.occupancyHistory);
+    w.putF64Vector(s.metrics.speedupHistory);
+    w.putU64(s.net.ticks);
+    w.putU64(s.net.globalRound);
+    w.putU64(s.net.edgeSeq.size());
+    for (std::uint64_t seq : s.net.edgeSeq)
+        w.putU64(seq);
+    w.putU64(s.metrics.netDegradedRounds);
+    w.putU64(s.metrics.netStaleBidRounds);
+    w.putU64(s.metrics.netRetransmits);
+    w.putU64(s.metrics.netQuorumCollapses);
+    // The kernel cache is deliberately absent: it is bitwise invisible
+    // (a recovered run rebuilds it and stays on the same trajectory).
+}
+
+/** @return The exact size of encodeOnlineState(@p s, ...). */
+std::size_t
+encodedStateSize(const OnlineRunState &s)
+{
+    // A count prefix plus @p n elements of @p width bytes.
+    const auto counted = [](std::size_t n, std::size_t width) {
+        return 8 + n * width;
+    };
+    constexpr std::size_t kCounts = 12; // the putCount fields
+    constexpr std::size_t kNetCounters = 4;
+    return 4 + 4 + 8 + 8 * s.rngState.size() +
+           counted(s.budgets.size(), 8) +
+           counted(s.jobs.size(), kJobBytes) +
+           counted(s.waitQueue.size(), kJobBytes) + 8 + 8 +
+           counted(s.live.size(), 1) +
+           counted(s.placer.loads.size(), 8) +
+           counted(s.placer.live.size(), 1) +
+           counted(s.placer.prices.size(), 8) +
+           counted(s.placer.sinceUpdate.size(), 8) + 8 +
+           2 * kStatsBytes + counted(s.granted.size(), 8) +
+           counted(s.entitled.size(), 8) +
+           counted(s.entitledAvail.size(), 8) +
+           counted(s.metrics.policyName.size(), 1) + 8 * kCounts + 8 +
+           counted(s.metrics.occupancyHistory.size(), 8) +
+           counted(s.metrics.speedupHistory.size(), 8) + 8 + 8 +
+           counted(s.net.edgeSeq.size(), 8) + 8 * kNetCounters;
 }
 
 } // namespace
@@ -270,59 +387,56 @@ std::string
 encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
 {
     durability::ByteWriter w;
-    w.putU32(kStateVersion);
-    w.putU32(onlineStateFingerprint(opts, s.metrics.policyName));
-    w.putU64(static_cast<std::uint64_t>(s.epoch));
-    for (std::uint64_t word : s.rngState)
-        w.putU64(word);
-    w.putF64Vector(s.budgets);
-    w.putU64(s.jobs.size());
+    w.reserve(encodedStateSize(s));
+    putStateHead(w, s, opts);
     for (const auto &job : s.jobs)
         putJob(w, job);
-    w.putU64(s.waitQueue.size());
-    for (const auto &job : s.waitQueue)
-        putJob(w, job);
-    w.putU64(static_cast<std::uint64_t>(s.inFlight));
-    w.putF64(s.queueDelaySum);
-    putCharVector(w, s.live);
-    putIntVector(w, s.placer.loads);
-    putCharVector(w, s.placer.live);
-    w.putF64Vector(s.placer.prices);
-    putIntVector(w, s.placer.sinceUpdate);
-    w.putU64(static_cast<std::uint64_t>(s.placer.nextRoundRobin));
-    putStats(w, s.occupancy);
-    putStats(w, s.weightedSpeedup);
-    w.putF64Vector(s.granted);
-    w.putF64Vector(s.entitled);
-    w.putF64Vector(s.entitledAvail);
-    w.putString(s.metrics.policyName);
-    putCount(w, s.metrics.jobsArrived);
-    putCount(w, s.metrics.jobsCompleted);
-    putCount(w, s.metrics.nonConvergedEpochs);
-    putCount(w, s.metrics.fallbackEpochsDamped);
-    putCount(w, s.metrics.fallbackEpochsProportional);
-    putCount(w, s.metrics.fallbackEpochsDeadline);
-    putCount(w, s.metrics.deadlineExpiredEpochs);
-    putCount(w, s.metrics.jobsQueued);
-    putCount(w, s.metrics.jobsShed);
-    putCount(w, s.metrics.peakQueueLength);
-    putCount(w, s.metrics.crashEvents);
-    putCount(w, s.metrics.replacements);
-    w.putF64(s.metrics.workLostSeconds);
-    w.putF64Vector(s.metrics.occupancyHistory);
-    w.putF64Vector(s.metrics.speedupHistory);
-    w.putU64(s.net.ticks);
-    w.putU64(s.net.globalRound);
-    w.putU64(s.net.edgeSeq.size());
-    for (std::uint64_t seq : s.net.edgeSeq)
-        w.putU64(seq);
-    w.putU64(s.metrics.netDegradedRounds);
-    w.putU64(s.metrics.netStaleBidRounds);
-    w.putU64(s.metrics.netRetransmits);
-    w.putU64(s.metrics.netQuorumCollapses);
-    // The kernel cache is deliberately absent: it is bitwise invisible
-    // (a recovered run rebuilds it and stays on the same trajectory).
+    putStateTail(w, s);
+    AMDAHL_ASSERT(w.bytes().size() == encodedStateSize(s),
+                  "encodedStateSize is out of step with the layout");
     return w.take();
+}
+
+std::uint32_t
+OnlineStateDigest::update(const OnlineRunState &s,
+                          const OnlineOptions &opts)
+{
+    AMDAHL_ASSERT(sealedJobs_ <= s.jobs.size(),
+                  "the job log shrank under its state digest");
+
+    // Fold each newly frozen job into the sealed CRC exactly once, in
+    // bounded batches so a cold start over a long log does not hold
+    // its whole encoding.
+    constexpr std::size_t kSealBatch = 1024;
+    while (sealedJobs_ < s.jobs.size() && s.jobs[sealedJobs_].done()) {
+        scratch_.clear();
+        const std::size_t end =
+            std::min(s.jobs.size(), sealedJobs_ + kSealBatch);
+        for (; sealedJobs_ < end && s.jobs[sealedJobs_].done();
+             ++sealedJobs_)
+            putJob(scratch_, s.jobs[sealedJobs_]);
+        const std::string &sealed = scratch_.bytes();
+        sealedCrc_ = crc32Update(sealedCrc_, sealed.data(), sealed.size());
+        sealedBytes_ += sealed.size();
+    }
+
+    // head | sealed jobs | live jobs | tail, in encodeOnlineState's
+    // order; only the sealed part is not re-encoded.
+    scratch_.clear();
+    putStateHead(scratch_, s, opts);
+    const std::uint32_t head = crc32(scratch_.bytes());
+    scratch_.clear();
+    for (std::size_t k = sealedJobs_; k < s.jobs.size(); ++k)
+        putJob(scratch_, s.jobs[k]);
+    putStateTail(scratch_, s);
+    const std::string &rest = scratch_.bytes();
+    const std::uint32_t digest = crc32Update(
+        crc32Combine(head, sealedCrc_, sealedBytes_), rest.data(),
+        rest.size());
+    AMDAHL_ASSERT(digest == crc32(encodeOnlineState(s, opts)),
+                  "incremental state digest diverged from the full "
+                  "encoding at epoch ", s.epoch);
+    return digest;
 }
 
 Result<OnlineRunState>
@@ -349,11 +463,13 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     }
 
     OnlineRunState s;
-    s.epoch = static_cast<int>(r.readU64());
+    s.epoch = readInt(r);
     for (auto &word : s.rngState)
         word = r.readU64();
     s.budgets = r.readF64Vector();
     const std::uint64_t job_count = r.readU64();
+    s.jobs.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(job_count, r.remaining() / kJobBytes)));
     for (std::uint64_t i = 0; r.ok() && i < job_count; ++i)
         s.jobs.push_back(readJob(r));
     const std::uint64_t queue_count = r.readU64();
@@ -373,18 +489,18 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     s.entitled = r.readF64Vector();
     s.entitledAvail = r.readF64Vector();
     s.metrics.policyName = r.readString();
-    s.metrics.jobsArrived = readCount(r);
-    s.metrics.jobsCompleted = readCount(r);
-    s.metrics.nonConvergedEpochs = readCount(r);
-    s.metrics.fallbackEpochsDamped = readCount(r);
-    s.metrics.fallbackEpochsProportional = readCount(r);
-    s.metrics.fallbackEpochsDeadline = readCount(r);
-    s.metrics.deadlineExpiredEpochs = readCount(r);
-    s.metrics.jobsQueued = readCount(r);
-    s.metrics.jobsShed = readCount(r);
-    s.metrics.peakQueueLength = readCount(r);
-    s.metrics.crashEvents = readCount(r);
-    s.metrics.replacements = readCount(r);
+    s.metrics.jobsArrived = readInt(r);
+    s.metrics.jobsCompleted = readInt(r);
+    s.metrics.nonConvergedEpochs = readInt(r);
+    s.metrics.fallbackEpochsDamped = readInt(r);
+    s.metrics.fallbackEpochsProportional = readInt(r);
+    s.metrics.fallbackEpochsDeadline = readInt(r);
+    s.metrics.deadlineExpiredEpochs = readInt(r);
+    s.metrics.jobsQueued = readInt(r);
+    s.metrics.jobsShed = readInt(r);
+    s.metrics.peakQueueLength = readInt(r);
+    s.metrics.crashEvents = readInt(r);
+    s.metrics.replacements = readInt(r);
     s.metrics.workLostSeconds = r.readF64();
     s.metrics.occupancyHistory = r.readF64Vector();
     s.metrics.speedupHistory = r.readF64Vector();
@@ -404,6 +520,14 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     // The container CRC already matched, so these only fire on a
     // collision or an encoder bug — but the reader promises to reject
     // every inconsistent state, not just the probable ones.
+    // The fingerprint above covered the caller's policy name; the
+    // state must carry the same one (the encoder fingerprints it).
+    if (s.metrics.policyName != policyName) {
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "snapshot state names policy '",
+                             s.metrics.policyName, "', not '",
+                             policyName, "'");
+    }
     const auto users = static_cast<std::size_t>(opts.users);
     const auto servers = static_cast<std::size_t>(opts.servers);
     const int epochs = static_cast<int>(
@@ -442,6 +566,18 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot history length does not match "
                              "its epoch count ", s.epoch);
+    }
+    // runEpoch indexes tenants, servers and workloads by these fields.
+    const std::size_t workloads = sim::workloadLibrary().size();
+    const auto outside = [&](const OnlineJob &job) {
+        return job.user >= users || job.workloadIndex >= workloads ||
+               (job.server >= servers && !job.unplaced());
+    };
+    if (std::any_of(s.jobs.begin(), s.jobs.end(), outside) ||
+        std::any_of(s.waitQueue.begin(), s.waitQueue.end(), outside)) {
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "snapshot job names a tenant, server or "
+                             "workload outside this scenario");
     }
     return s;
 }
@@ -1200,6 +1336,9 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
     const bool resuming =
         resume != nullptr &&
         (resume->hasSnapshot || !resume->entries.empty());
+    // The per-epoch journal digest: crc32(encodeOnlineState(state)),
+    // computed incrementally over the append-only job log.
+    OnlineStateDigest stateDigest;
 
     if (resuming) {
         frontier = resume->frontierEpoch();
@@ -1239,8 +1378,7 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
                     state.epoch);
             }
             runEpoch(state, policy, source, *injector);
-            const std::uint32_t digest =
-                crc32(encodeOnlineState(state, opts_));
+            const std::uint32_t digest = stateDigest.update(state, opts_);
             if (digest != entry.eventCrc) {
                 obs::setTraceSink(saved);
                 return Status::error(
@@ -1276,15 +1414,15 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
 
         durability::JournalEntry entry;
         entry.epoch = static_cast<std::uint64_t>(state.epoch);
-        const std::string encoded = encodeOnlineState(state, opts_);
-        entry.eventCrc = crc32(encoded);
+        entry.eventCrc = stateDigest.update(state, opts_);
         entry.traceBytes = sink ? sink->bytesWritten() : 0;
         entry.traceSeq = sink ? sink->currentSeq() : 0;
         durability::OnlineSnapshotEnvelope env;
         env.traceBytes = entry.traceBytes;
         env.traceSeq = entry.traceSeq;
+        // The full encoding is built only on the snapshot cadence.
         if (Status st = store.commitEpoch(entry, [&] {
-                env.state = encoded;
+                env.state = encodeOnlineState(state, opts_);
                 return durability::encodeSnapshotEnvelope(env);
             });
             !st.isOk())

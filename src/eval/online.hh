@@ -36,6 +36,7 @@
 #include "net/options.hh"
 #include "net/session.hh"
 #include "obs/metrics.hh"
+#include "robustness/durability/codec.hh"
 #include "robustness/durability/durable_store.hh"
 #include "robustness/fault_injector.hh"
 
@@ -446,6 +447,34 @@ std::uint32_t onlineStateFingerprint(const OnlineOptions &opts,
  */
 std::string encodeOnlineState(const OnlineRunState &state,
                               const OnlineOptions &opts);
+
+/**
+ * crc32(encodeOnlineState(state, opts)), at a cost that follows the
+ * change since the last call rather than the length of the job log.
+ *
+ * The job log is append-only and a finished job is never written
+ * again (every pass of runEpoch skips done() jobs), so the leading run
+ * of finished jobs is frozen. The digest folds each newly frozen
+ * job's encoded bytes into a running CRC once, and per call encodes
+ * only the state's head, the jobs after that frozen prefix, and its
+ * tail, joining the parts with crc32Combine. One instance follows one
+ * run's state from epoch to epoch (runDurable keeps one per run); it
+ * is process-local and never serialized. AMDAHL_CHECKED builds
+ * compare every value against the full encoding.
+ */
+class OnlineStateDigest
+{
+  public:
+    /** @return crc32(encodeOnlineState(@p state, @p opts)). */
+    std::uint32_t update(const OnlineRunState &state,
+                         const OnlineOptions &opts);
+
+  private:
+    std::size_t sealedJobs_ = 0;   //!< Frozen jobs folded so far.
+    std::uint32_t sealedCrc_ = 0;  //!< CRC of their encoded bytes.
+    std::uint64_t sealedBytes_ = 0; //!< Length of those bytes.
+    durability::ByteWriter scratch_; //!< Reused encode buffer.
+};
 
 /**
  * Deserialize a run state.

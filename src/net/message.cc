@@ -1,7 +1,9 @@
 #include "net/message.hh"
 
-#include <cstring>
+#include <bit>
 
+#include "common/byte_order.hh"
+#include "common/check.hh"
 #include "common/crc32.hh"
 
 namespace amdahl::net {
@@ -20,27 +22,46 @@ namespace {
  */
 constexpr std::uint32_t kMagic = 0x544e4d41; // "AMNT"
 
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
+/** Header bytes; the payload CRC is its last field. */
+constexpr std::size_t kHeaderBytes = 4 + 1 + 4 + 4 + 8 + 4 + 4 + 4;
+constexpr std::size_t kCrcOffset = kHeaderBytes - 4;
 
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
+/** Bytes of one bid partial: u32 server, u64 block, f64 partial. */
+constexpr std::size_t kPartialBytes = 4 + 8 + 8;
 
-void
-putF64(std::string &out, double v)
+/** Sequential little-endian stores into a presized buffer. */
+class Writer
 {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
-}
+  public:
+    explicit Writer(char *out) : p_(out) {}
+
+    void
+    putU8(std::uint8_t v)
+    {
+        *p_++ = static_cast<char>(v);
+    }
+
+    void
+    putU32(std::uint32_t v)
+    {
+        storeLe32(p_, v);
+        p_ += 4;
+    }
+
+    void
+    putU64(std::uint64_t v)
+    {
+        storeLe64(p_, v);
+        p_ += 8;
+    }
+
+    void putF64(double v) { putU64(std::bit_cast<std::uint64_t>(v)); }
+
+    [[nodiscard]] const char *position() const { return p_; }
+
+  private:
+    char *p_;
+};
 
 class Reader
 {
@@ -62,11 +83,7 @@ class Reader
     {
         if (!have(4))
             return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
+        v = loadLe32(bytes_.data() + pos_);
         pos_ += 4;
         return true;
     }
@@ -76,11 +93,7 @@ class Reader
     {
         if (!have(8))
             return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
+        v = loadLe64(bytes_.data() + pos_);
         pos_ += 8;
         return true;
     }
@@ -91,7 +104,7 @@ class Reader
         std::uint64_t bits = 0;
         if (!readU64(bits))
             return false;
-        std::memcpy(&v, &bits, sizeof v);
+        v = std::bit_cast<double>(bits);
         return true;
     }
 
@@ -119,26 +132,13 @@ parseError(const char *what)
     return Status::error(ErrorKind::ParseError, 0, "net message: ", what);
 }
 
-std::string
-encodePayload(const Message &msg)
+/** @return The payload size of @p msg in bytes. */
+std::size_t
+payloadBytes(const Message &msg)
 {
-    std::string payload;
-    if (msg.kind == MsgKind::Bid) {
-        putU32(payload, msg.bid.shard);
-        putU64(payload, msg.bid.round);
-        putU64(payload, msg.bid.partials.size());
-        for (const BlockPartial &p : msg.bid.partials) {
-            putU32(payload, p.server);
-            putU64(payload, p.block);
-            putF64(payload, p.partial);
-        }
-    } else {
-        putU64(payload, msg.price.round);
-        putU64(payload, msg.price.prices.size());
-        for (const double p : msg.price.prices)
-            putF64(payload, p);
-    }
-    return payload;
+    if (msg.kind == MsgKind::Bid)
+        return 4 + 8 + 8 + kPartialBytes * msg.bid.partials.size();
+    return 8 + 8 + 8 * msg.price.prices.size();
 }
 
 } // namespace
@@ -152,18 +152,38 @@ toString(MsgKind kind)
 std::string
 encodeMessage(const Message &msg)
 {
-    const std::string payload = encodePayload(msg);
-    std::string wire;
-    wire.reserve(33 + payload.size());
-    putU32(wire, kMagic);
-    wire.push_back(static_cast<char>(msg.kind));
-    putU32(wire, msg.src);
-    putU32(wire, msg.dst);
-    putU64(wire, msg.seq);
-    putU32(wire, msg.attempt);
-    putU32(wire, static_cast<std::uint32_t>(payload.size()));
-    putU32(wire, crc32(payload));
-    wire += payload;
+    // Header and payload go into one exactly-sized buffer; the payload
+    // CRC is patched into the header once the payload is written.
+    const std::size_t payloadSize = payloadBytes(msg);
+    std::string wire(kHeaderBytes + payloadSize, '\0');
+    Writer out(wire.data());
+    out.putU32(kMagic);
+    out.putU8(static_cast<std::uint8_t>(msg.kind));
+    out.putU32(msg.src);
+    out.putU32(msg.dst);
+    out.putU64(msg.seq);
+    out.putU32(msg.attempt);
+    out.putU32(static_cast<std::uint32_t>(payloadSize));
+    out.putU32(0); // payload CRC, patched below
+    if (msg.kind == MsgKind::Bid) {
+        out.putU32(msg.bid.shard);
+        out.putU64(msg.bid.round);
+        out.putU64(msg.bid.partials.size());
+        for (const BlockPartial &p : msg.bid.partials) {
+            out.putU32(p.server);
+            out.putU64(p.block);
+            out.putF64(p.partial);
+        }
+    } else {
+        out.putU64(msg.price.round);
+        out.putU64(msg.price.prices.size());
+        for (const double p : msg.price.prices)
+            out.putF64(p);
+    }
+    AMDAHL_ASSERT(out.position() == wire.data() + wire.size(),
+                  "payloadBytes is out of step with the frame layout");
+    storeLe32(wire.data() + kCrcOffset,
+              crc32(std::string_view(wire).substr(kHeaderBytes)));
     return wire;
 }
 
@@ -204,7 +224,7 @@ decodeMessage(std::string_view wire)
         if (!body.readU32(msg.bid.shard) || !body.readU64(msg.bid.round) ||
             !body.readU64(count))
             return parseError("truncated bid payload");
-        if (count > payload.size() / 20)
+        if (count > payload.size() / kPartialBytes)
             return parseError("truncated bid payload");
         msg.bid.partials.resize(static_cast<std::size_t>(count));
         for (BlockPartial &p : msg.bid.partials) {

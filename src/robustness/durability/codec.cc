@@ -1,40 +1,6 @@
 #include "robustness/durability/codec.hh"
 
-#include <cstring>
-
 namespace amdahl::durability {
-
-namespace {
-
-void
-appendLe(std::string &buf, std::uint64_t v, int bytes)
-{
-    for (int i = 0; i < bytes; ++i)
-        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-}
-
-} // namespace
-
-void
-ByteWriter::putU32(std::uint32_t v)
-{
-    appendLe(buf, v, 4);
-}
-
-void
-ByteWriter::putU64(std::uint64_t v)
-{
-    appendLe(buf, v, 8);
-}
-
-void
-ByteWriter::putF64(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(bits);
-}
 
 void
 ByteWriter::putString(std::string_view s)
@@ -43,71 +9,52 @@ ByteWriter::putString(std::string_view s)
     buf.append(s.data(), s.size());
 }
 
+namespace {
+
+/** Append @p v's elements as little-endian 8-byte words. */
+template <typename T>
+void
+appendWords(std::string &buf, const std::vector<T> &v)
+{
+    static_assert(sizeof(T) == 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        // The in-memory representation already is the encoding.
+        buf.append(reinterpret_cast<const char *>(v.data()),
+                   v.size() * sizeof(T));
+    } else {
+        for (const T x : v) {
+            char b[8]{};
+            storeLe64(b, std::bit_cast<std::uint64_t>(x));
+            buf.append(b, sizeof b);
+        }
+    }
+}
+
+} // namespace
+
 void
 ByteWriter::putF64Vector(const std::vector<double> &v)
 {
     putU64(v.size());
-    for (double x : v)
-        putF64(x);
+    appendWords(buf, v);
 }
 
 void
 ByteWriter::putU64Vector(const std::vector<std::uint64_t> &v)
 {
     putU64(v.size());
-    for (std::uint64_t x : v)
-        putU64(x);
+    appendWords(buf, v);
 }
 
 bool
-ByteReader::need(std::size_t n, const char *what)
+ByteReader::underrun(std::size_t n, const char *what)
 {
     if (!st.isOk())
         return false;
-    if (in.size() - pos < n) {
-        st = Status::error(ErrorKind::ParseError, 0, "truncated record: ",
-                           what, " needs ", n, " bytes, ",
-                           in.size() - pos, " remain at offset ", pos);
-        return false;
-    }
-    return true;
-}
-
-std::uint32_t
-ByteReader::readU32()
-{
-    if (!need(4, "u32"))
-        return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(in[pos + i]))
-             << (8 * i);
-    pos += 4;
-    return v;
-}
-
-std::uint64_t
-ByteReader::readU64()
-{
-    if (!need(8, "u64"))
-        return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[pos + i]))
-             << (8 * i);
-    pos += 8;
-    return v;
-}
-
-double
-ByteReader::readF64()
-{
-    const std::uint64_t bits = readU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return st.isOk() ? v : 0.0;
+    st = Status::error(ErrorKind::ParseError, 0, "truncated record: ",
+                       what, " needs ", n, " bytes, ", in.size() - pos,
+                       " remain at offset ", pos);
+    return false;
 }
 
 std::string
@@ -171,6 +118,15 @@ ByteReader::expectEnd()
         st = Status::error(ErrorKind::ParseError, 0, remaining(),
                            " unexpected trailing bytes after a "
                            "complete record");
+    }
+}
+
+void
+ByteReader::reject(std::string_view what)
+{
+    if (st.isOk()) {
+        st = Status::error(ErrorKind::ParseError, 0, "invalid ", what,
+                           " before offset ", pos);
     }
 }
 

@@ -30,6 +30,7 @@ std::string
 encodeSnapshotEnvelope(const OnlineSnapshotEnvelope &env)
 {
     ByteWriter w;
+    w.reserve(4 + 8 + 8 + 8 + env.state.size());
     w.putU32(env.completed ? 1 : 0);
     w.putU64(env.traceBytes);
     w.putU64(env.traceSeq);

@@ -20,13 +20,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "alloc/amdahl_bidding_policy.hh"
+#include "common/byte_order.hh"
 #include "common/crc32.hh"
 #include "eval/online.hh"
 #include "robustness/durability/durable_store.hh"
+#include "robustness/durability/kill_points.hh"
 #include "robustness/fault_injector.hh"
 
 namespace amdahl::eval {
@@ -180,6 +185,39 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
         std::string_view(encoded).substr(0, encoded.size() / 2), opts,
         ab.name());
     EXPECT_FALSE(truncated.ok());
+
+    // A state whose own policy name differs from the fingerprinted one
+    // (header patched to fingerprint "PS"; the state still says AB).
+    std::string renamed = encoded;
+    storeLe32(renamed.data() + 4, onlineStateFingerprint(opts, "PS"));
+    auto misnamed = decodeOnlineState(renamed, opts, "PS");
+    ASSERT_FALSE(misnamed.ok());
+    EXPECT_EQ(misnamed.status().kind(), ErrorKind::SemanticError);
+
+    // An int field (the epoch) with bits above the int range: rejected,
+    // not truncated into a state that re-encodes differently.
+    std::string wide = encoded;
+    storeLe64(wide.data() + 8, loadLe64(wide.data() + 8) + (1ULL << 32));
+    auto widened = decodeOnlineState(wide, opts, ab.name());
+    ASSERT_FALSE(widened.ok());
+    EXPECT_EQ(widened.status().kind(), ErrorKind::ParseError);
+
+    // A job naming a tenant this scenario does not have.
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    OnlineRunState state = sim.initState(ab);
+    while (state.jobs.empty())
+        sim.runEpoch(state, ab, FractionSource::Estimated, injector);
+    std::string stranger = encodeOnlineState(state, opts);
+    // version, fingerprint, epoch, RNG, budgets, job count.
+    const std::size_t firstJob =
+        4 + 4 + 8 + 32 + 8 + 8 * state.budgets.size() + 8;
+    ASSERT_EQ(loadLe64(stranger.data() + firstJob), state.jobs[0].user);
+    storeLe64(stranger.data() + firstJob, 1000);
+    auto outside = decodeOnlineState(stranger, opts, ab.name());
+    ASSERT_FALSE(outside.ok());
+    EXPECT_EQ(outside.status().kind(), ErrorKind::SemanticError);
 }
 
 TEST(Recovery, ReplayOfTheSameEpochsIsBitIdentical)
@@ -387,6 +425,207 @@ TEST(Recovery, KillMidRunRecoversTheDeltaOutcome)
     ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
     expectSameSimulation(resumed.value(), plain);
     EXPECT_TRUE(resumed.value().recovered);
+}
+
+// ---------------------------------------------------------------------
+// The incremental state digest (OnlineStateDigest) must equal
+// crc32(encodeOnlineState(...)) after every epoch: the journal's
+// digests are unchanged bytes on disk.
+// ---------------------------------------------------------------------
+
+/** Crashes, rollbacks, re-placement and a backed-up admission queue. */
+OnlineOptions
+faultedScenario()
+{
+    OnlineOptions opts;
+    opts.seed = 4242;
+    opts.users = 10;
+    opts.servers = 4;
+    opts.coresPerServer = 8;
+    opts.epochSeconds = 60.0;
+    opts.horizonSeconds = 60.0 * 40;
+    opts.arrivalsPerServerEpoch = 2.0;
+    opts.workScaleMin = 0.05;
+    opts.workScaleMax = 0.3;
+    opts.faults.enabled = true;
+    opts.faults.crashRatePerServerEpoch = 0.1;
+    opts.faults.downEpochs = 2;
+    opts.faults.checkpointEpochs = 3;
+    opts.admission.enabled = true;
+    opts.admission.maxLoadFactor = 2.0;
+    opts.admission.maxQueueLength = 6;
+    return opts;
+}
+
+/** Tens of jobs in flight over a job log of thousands. */
+OnlineOptions
+longLogScenario()
+{
+    OnlineOptions opts;
+    opts.seed = 31337;
+    opts.users = 64;
+    opts.servers = 8;
+    opts.arrivalsPerServerEpoch = 5.0;
+    opts.workScaleMin = 0.01;
+    opts.workScaleMax = 0.04;
+    opts.horizonSeconds = opts.epochSeconds * 150;
+    return opts;
+}
+
+/** @return The number of leading finished jobs (the frozen prefix). */
+std::size_t
+frozenPrefix(const OnlineRunState &state)
+{
+    std::size_t k = 0;
+    while (k < state.jobs.size() && state.jobs[k].done())
+        ++k;
+    return k;
+}
+
+/**
+ * Run @p state to the horizon, checking @p digest against the full
+ * encoding after every epoch. @return the largest frozen prefix seen.
+ */
+std::size_t
+expectDigestTracksEncoding(const OnlineSimulator &sim,
+                           const alloc::AllocationPolicy &policy,
+                           OnlineRunState &state,
+                           OnlineStateDigest &digest)
+{
+    const OnlineOptions &opts = sim.options();
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    std::size_t frozen = 0;
+    while (state.epoch < sim.epochCount()) {
+        sim.runEpoch(state, policy, FractionSource::Estimated, injector);
+        EXPECT_EQ(digest.update(state, opts),
+                  crc32(encodeOnlineState(state, opts)))
+            << "digest diverged at epoch " << state.epoch;
+        frozen = std::max(frozen, frozenPrefix(state));
+    }
+    return frozen;
+}
+
+TEST(StateDigest, MatchesFullEncodingThroughFaultsAndBackpressure)
+{
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, faultedScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    OnlineRunState state = sim.initState(ab);
+    OnlineStateDigest digest;
+
+    // Track the queue while running, so the scenario is shown to reach
+    // every path the digest must survive.
+    const robustness::FaultInjector injector(
+        sim.options().faults,
+        static_cast<std::size_t>(sim.options().servers),
+        sim.epochCount());
+    bool queued = false;
+    std::size_t frozen = 0;
+    while (state.epoch < sim.epochCount()) {
+        sim.runEpoch(state, ab, FractionSource::Estimated, injector);
+        ASSERT_EQ(digest.update(state, sim.options()),
+                  crc32(encodeOnlineState(state, sim.options())))
+            << "digest diverged at epoch " << state.epoch;
+        queued = queued || !state.waitQueue.empty();
+        frozen = std::max(frozen, frozenPrefix(state));
+    }
+    EXPECT_GT(state.metrics.crashEvents, 0);
+    EXPECT_GT(state.metrics.workLostSeconds, 0.0);
+    EXPECT_GT(state.metrics.replacements, 0);
+    EXPECT_TRUE(queued);
+    EXPECT_GT(frozen, 0u);
+    EXPECT_LT(frozen, state.jobs.size());
+}
+
+TEST(StateDigest, ColdDigestOverADecodedSnapshotMatches)
+{
+    // A digest that first sees a state decoded from a mid-run snapshot
+    // folds the whole frozen prefix on its first call.
+    CharacterizationCache cache;
+    const OnlineOptions opts = longLogScenario();
+    OnlineSimulator sim(cache, opts);
+    const alloc::AmdahlBiddingPolicy ab;
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    OnlineRunState state = sim.initState(ab);
+    while (state.epoch < 60)
+        sim.runEpoch(state, ab, FractionSource::Estimated, injector);
+    ASSERT_GT(frozenPrefix(state), 1024u); // more than one seal batch
+
+    auto decoded = decodeOnlineState(encodeOnlineState(state, opts),
+                                     opts, ab.name());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    OnlineRunState resumed = decoded.take();
+    OnlineStateDigest cold;
+    EXPECT_EQ(cold.update(resumed, opts),
+              crc32(encodeOnlineState(state, opts)));
+    expectDigestTracksEncoding(sim, ab, resumed, cold);
+}
+
+TEST(StateDigest, MatchesFullEncodingOverALongJobLog)
+{
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, longLogScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    OnlineRunState state = sim.initState(ab);
+    OnlineStateDigest digest;
+    const std::size_t frozen =
+        expectDigestTracksEncoding(sim, ab, state, digest);
+    // Most of the log is frozen: the digest re-reads only the rest.
+    EXPECT_GT(state.jobs.size(), 2000u);
+    EXPECT_GT(frozen, state.jobs.size() * 9 / 10);
+}
+
+TEST(StateDigest, RunDurableJournalsTheFullEncodingCrcs)
+{
+    // runDurable's journaled digests, read back from disk, equal the
+    // CRCs of the full encodings of an in-memory run. A child process
+    // dies right after committing the last epoch, before finishRun
+    // truncates the journal; with no snapshot cadence, the journal
+    // then holds every epoch's entry.
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, faultedScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    const int epochs = sim.epochCount();
+
+    std::vector<std::uint32_t> expected;
+    {
+        const robustness::FaultInjector injector(
+            sim.options().faults,
+            static_cast<std::size_t>(sim.options().servers), epochs);
+        OnlineRunState state = sim.initState(ab);
+        while (state.epoch < epochs) {
+            sim.runEpoch(state, ab, FractionSource::Estimated, injector);
+            expected.push_back(
+                crc32(encodeOnlineState(state, sim.options())));
+        }
+    }
+
+    const fs::path dir = freshDir();
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            const std::string spec =
+                "epoch.post_commit:" + std::to_string(epochs);
+            if (!durability::armKillPoint(spec).isOk())
+                std::_Exit(1);
+            auto store = openStore(dir, 0);
+            (void)sim.runDurable(ab, FractionSource::Estimated, store);
+            std::_Exit(2);
+        },
+        ::testing::ExitedWithCode(durability::kKillExitCode), "");
+
+    auto store = openStore(dir, 0);
+    const durability::RecoveredState rec = store.recover();
+    ASSERT_EQ(rec.entries.size(), expected.size());
+    for (std::size_t e = 0; e < expected.size(); ++e) {
+        EXPECT_EQ(rec.entries[e].epoch, e + 1);
+        EXPECT_EQ(rec.entries[e].eventCrc, expected[e])
+            << "journaled digest of epoch " << e + 1;
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hh"
 #include "net/message.hh"
 
 namespace amdahl::net {
@@ -55,6 +56,36 @@ samplePrice()
     msg.price.prices = {0.5, 1.0 / 3.0, 0.0,
                         std::numeric_limits<double>::min()};
     return msg;
+}
+
+TEST(NetMessage, FrameBytesArePinned)
+{
+    // CRCs of whole frames (header + payload), computed with the
+    // byte-at-a-time encoder and CRC this codec replaced: the frame
+    // layout is wire-stable, not merely self-consistent.
+    Message wide;
+    wide.kind = MsgKind::Bid;
+    wide.src = 0xFFFFFFFFu;
+    wide.dst = 0x01020304u;
+    wide.seq = 0x8877665544332211ull;
+    wide.attempt = 0xDEADBEEFu;
+    wide.bid.shard = 0xCAFEu;
+    wide.bid.round = ~0ull;
+    const struct
+    {
+        Message msg;
+        std::size_t size;
+        std::uint32_t crc;
+    } pinned[] = {
+        {sampleBid(), 153, 0x6C36A6CCu},
+        {samplePrice(), 81, 0x0CF49220u},
+        {wide, 53, 0xCFB7507Du},
+    };
+    for (const auto &p : pinned) {
+        const std::string wire = encodeMessage(p.msg);
+        EXPECT_EQ(wire.size(), p.size) << toString(p.msg.kind);
+        EXPECT_EQ(crc32(wire), p.crc) << toString(p.msg.kind);
+    }
 }
 
 TEST(NetMessage, BidRoundtripIsLossless)
