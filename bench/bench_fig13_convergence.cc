@@ -23,13 +23,22 @@ main()
     eval::ExperimentDriver driver(cfg);
     const int pops = cfg.populationsPerPoint;
 
+    // Both columns clear the same populations: "Iterations" is the
+    // paper's plain proportional response, "Accelerated" the
+    // Anderson-accelerated clear the market policies run.
+    const auto iterationCells = [&](TablePrinter &table, int users,
+                                    double s, int d) {
+        const auto mean = driver.meanBiddingIterations(users, s, d, pops);
+        table.cell(mean.plain, 1).cell(mean.accelerated, 1);
+    };
     {
         TablePrinter table;
         table.addColumn("Users");
         table.addColumn("Iterations");
+        table.addColumn("Accelerated");
         for (int users : {20, 40, 80, 160}) {
-            table.beginRow().cell(users).cell(
-                driver.meanBiddingIterations(users, 0.5, 12, pops), 1);
+            table.beginRow().cell(users);
+            iterationCells(table, users, 0.5, 12);
         }
         std::cout << "(a) vs user count (s=0.5, d=12)\n";
         table.print(std::cout);
@@ -39,13 +48,11 @@ main()
         table.addColumn("Multiplier");
         table.addColumn("Servers");
         table.addColumn("Iterations");
+        table.addColumn("Accelerated");
         for (double s : eval::paperServerMultipliers()) {
-            table.beginRow()
-                .cell(s, 2)
-                .cell(static_cast<int>(std::ceil(s * cfg.users)))
-                .cell(driver.meanBiddingIterations(cfg.users, s, 12,
-                                                   pops),
-                      1);
+            table.beginRow().cell(s, 2).cell(
+                static_cast<int>(std::ceil(s * cfg.users)));
+            iterationCells(table, cfg.users, s, 12);
         }
         std::cout << "\n(b) vs server multiplier (n=" << cfg.users
                   << ", d=12)\n";
@@ -55,10 +62,10 @@ main()
         TablePrinter table;
         table.addColumn("Density");
         table.addColumn("Iterations");
+        table.addColumn("Accelerated");
         for (int d : eval::paperDensityLadder()) {
-            table.beginRow().cell(d).cell(
-                driver.meanBiddingIterations(cfg.users, 0.5, d, pops),
-                1);
+            table.beginRow().cell(d);
+            iterationCells(table, cfg.users, 0.5, d);
         }
         std::cout << "\n(c) vs workload density (n=" << cfg.users
                   << ", s=0.5)\n";

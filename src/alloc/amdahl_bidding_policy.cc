@@ -6,16 +6,18 @@
 
 namespace amdahl::alloc {
 
+core::BiddingOptions
+defaultClearingOptions()
+{
+    core::BiddingOptions opts;
+    opts.accel.enabled = true;
+    return opts;
+}
+
 AllocationResult
 AmdahlBiddingPolicy::allocate(const core::FisherMarket &market) const
 {
-    AllocationResult result;
-    result.policyName = name();
-    result.outcome = core::solveAmdahlBidding(market, opts);
-    result.cores = core::roundOutcome(market, result.outcome);
-    if constexpr (checkedBuild)
-        auditAllocation(market, result);
-    return result;
+    return AmdahlBiddingPolicy::allocate(market, core::ClearingContext{});
 }
 
 AllocationResult
@@ -23,16 +25,9 @@ AmdahlBiddingPolicy::allocate(
     const core::FisherMarket &market,
     const core::BidTransportFaults &faults) const
 {
-    core::BiddingOptions faulty = opts;
-    faulty.transport = faults;
-
-    AllocationResult result;
-    result.policyName = name();
-    result.outcome = core::solveAmdahlBidding(market, faulty);
-    result.cores = core::roundOutcome(market, result.outcome);
-    if constexpr (checkedBuild)
-        auditAllocation(market, result);
-    return result;
+    core::ClearingContext ctx;
+    ctx.transport = faults;
+    return AmdahlBiddingPolicy::allocate(market, ctx);
 }
 
 AllocationResult

@@ -16,11 +16,22 @@
 
 namespace amdahl::alloc {
 
+/**
+ * The bidding options the market policies (AB, AB+FB) clear with by
+ * default: the library defaults with Anderson acceleration on. The
+ * library's own default (core::BiddingOptions{}) stays the paper's
+ * plain proportional response. core::clearingOptions turns the
+ * acceleration off for each clear it cannot apply to (sharded, lossy,
+ * Gauss-Seidel), so those clear exactly as with it off.
+ */
+core::BiddingOptions defaultClearingOptions();
+
 /** The paper's market mechanism. */
 class AmdahlBiddingPolicy : public AllocationPolicy
 {
   public:
-    explicit AmdahlBiddingPolicy(core::BiddingOptions options = {})
+    explicit AmdahlBiddingPolicy(
+        core::BiddingOptions options = defaultClearingOptions())
         : opts(std::move(options))
     {}
 
@@ -36,9 +47,10 @@ class AmdahlBiddingPolicy : public AllocationPolicy
         const core::BidTransportFaults &faults) const override;
 
     /** Full clearing context: faults plus the delta re-clearing
-     *  plumbing (kernel cache, acceleration). Sharded clearing
-     *  still requires the fallback ladder — this adapter serves the
-     *  in-process procedure only and fatals on a sharded context. */
+     *  plumbing (kernel cache). The other two overloads clear through
+     *  this one. Sharded clearing still requires the fallback ladder —
+     *  this adapter serves the in-process procedure only and fatals on
+     *  a sharded context. */
     AllocationResult allocate(
         const core::FisherMarket &market,
         const core::ClearingContext &ctx) const override;

@@ -106,10 +106,9 @@ AllocationResult
 FallbackPolicy::ladder(const core::FisherMarket &market,
                        const core::ClearingContext &ctx) const
 {
-    // Delta re-clearing plumbing: the kernel cache (in-process solves
-    // only; the sharded solver ignores it) skips the CSR rebuild when
-    // the market structure is unchanged, and the context may ask for
-    // an accelerated primary attempt.
+    // The kernel cache (in-process solves only; the sharded solver
+    // ignores it) skips the CSR rebuild when the market structure is
+    // unchanged; acceleration stays on only where it applies.
     const core::BiddingOptions opts = core::clearingOptions(primary, ctx);
     const bool sharded = ctx.sharding && ctx.sharding->enabled();
 
@@ -177,10 +176,10 @@ FallbackPolicy::ladder(const core::FisherMarket &market,
     // in effect — the retry runs over the same degraded network (under
     // sharded clearing the session's global round keeps advancing, so
     // a partition window scheduled across the retry stays in force).
-    // Acceleration requested by the context applies to the primary
-    // attempt only: the retry is the conservative rung.
+    // The retry is the conservative rung: plain, damped proportional
+    // response, never accelerated.
     core::BiddingOptions retry = opts;
-    retry.accel = primary.accel;
+    retry.accel.enabled = false;
     retry.damping =
         std::max(1e-3, opts.damping * fb.retryDampingFactor);
     retry.initialBids = attempt.bids;

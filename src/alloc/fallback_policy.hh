@@ -10,14 +10,15 @@
  * misallocate without anyone noticing. This policy degrades
  * *predictably* instead, down a four-rung ladder:
  *
- *  1. Primary: Amdahl Bidding with the configured options.
+ *  1. Primary: Amdahl Bidding with the configured options (by
+ *     default accelerated, where acceleration applies).
  *  2. Deadline anytime: when the primary's anytime deadline expires
  *     (BiddingOptions::deadline), the best budget-feasible bid state
  *     it reached is served as-is — the deadline exists because there
  *     is no time left, so no retry is attempted.
- *  3. Damped retry: the same market re-solved with damping scaled
- *     down and warm-started from the primary attempt's bids — the
- *     cheap fix for oscillating proportional-response dynamics.
+ *  3. Damped retry: the same market re-solved with plain, damped
+ *     proportional response warm-started from the primary attempt's
+ *     bids — the cheap fix for oscillating dynamics.
  *  4. Proportional fallback: proportional share by entitlement — the
  *     allocation every tenant is contractually owed. It ignores
  *     parallelizability (forfeiting the market's efficiency edge for
@@ -30,6 +31,7 @@
 #ifndef AMDAHL_ALLOC_FALLBACK_POLICY_HH
 #define AMDAHL_ALLOC_FALLBACK_POLICY_HH
 
+#include "alloc/amdahl_bidding_policy.hh"
 #include "alloc/policy.hh"
 #include "core/bidding.hh"
 
@@ -55,8 +57,9 @@ struct FallbackOptions
 class FallbackPolicy : public AllocationPolicy
 {
   public:
-    explicit FallbackPolicy(core::BiddingOptions primary = {},
-                            FallbackOptions fallback = {});
+    explicit FallbackPolicy(
+        core::BiddingOptions primary = defaultClearingOptions(),
+        FallbackOptions fallback = {});
 
     std::string name() const override { return "AB+FB"; }
 
@@ -74,8 +77,7 @@ class FallbackPolicy : public AllocationPolicy
      * network instead of the in-process one — so the ladder also
      * absorbs quorum collapses and partition-degraded epochs, with the
      * serve's structured `reason` derived from the transport outcome.
-     * `ctx.accel` accelerates the primary attempt only; the damped
-     * retry keeps the configured options.
+     * The other two overloads clear through this one.
      */
     AllocationResult allocate(
         const core::FisherMarket &market,

@@ -314,11 +314,11 @@ clearingOptions(BiddingOptions base, const ClearingContext &ctx)
 {
     base.transport = ctx.transport;
     base.kernelCache = ctx.kernelCache;
+    // The complement of the accelerator's applicability fatals.
     const bool sharded = ctx.sharding && ctx.sharding->enabled();
-    if (ctx.accel && !sharded &&
-        base.schedule == UpdateSchedule::Synchronous &&
-        !(ctx.transport.lossRate > 0.0))
-        base.accel.enabled = true;
+    if (sharded || base.schedule != UpdateSchedule::Synchronous ||
+        base.transport.lossRate > 0.0)
+        base.accel.enabled = false;
     return base;
 }
 

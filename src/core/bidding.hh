@@ -104,11 +104,13 @@ struct DeadlineOptions
 
 /**
  * Anderson acceleration over the proportional-response fixed-point map
- * (opt-in; `--accel` on the CLI). Each round still evaluates the plain
- * PRD update g(x); the accelerator then proposes an affine combination
- * of the last `depth + 1` (iterate, update) pairs that minimizes the
- * combined residual in least squares, projected back to the feasible
- * set (strictly positive bids, per-user budget conservation).
+ * (off in the library's default options; the market policies and the
+ * CLI turn it on, see alloc::defaultClearingOptions). Each round still
+ * evaluates the plain PRD update g(x); the accelerator then proposes
+ * an affine combination of the last `depth + 1` (iterate, update)
+ * pairs that minimizes the combined residual in least squares,
+ * projected back to the feasible set (strictly positive bids,
+ * per-user budget conservation).
  *
  * Rejection rule (the guaranteed fallback): the proposal is accepted
  * only when its posted-price residual is strictly smaller than the
@@ -117,9 +119,10 @@ struct DeadlineOptions
  * worse than undamped proportional response — in the worst case it
  * *is* undamped proportional response.
  *
- * Off (the default) the solve path is bit-identical to a build
- * without this feature. Incompatible with the GaussSeidel schedule,
- * lossy transports, and the sharded solver (fatal).
+ * Off, the solve path is bit-identical to a build without this
+ * feature. Incompatible with the GaussSeidel schedule, lossy
+ * transports, and the sharded solver (fatal); clearingOptions turns it
+ * off for those clears, so no allocation policy reaches the fatals.
  */
 struct AccelOptions
 {
@@ -248,20 +251,15 @@ struct ClearingContext
     net::NetSession *session = nullptr;
     /** Non-null enables cross-epoch CSR reuse (bitwise invisible). */
     KernelCache *kernelCache = nullptr;
-    /**
-     * Clear with Anderson acceleration (default AccelOptions) from the
-     * even split — eval/online's delta re-clearing. Honoured only where
-     * the accelerator applies: an in-process Synchronous solve over a
-     * sound transport. Elsewhere (sharded clearing, bid loss,
-     * Gauss-Seidel) the clear runs plain, so no context reaches the
-     * accelerator's option fatals.
-     */
-    bool accel = false;
 };
 
 /**
- * The bidding options of one clear: @p base with @p ctx's transport,
- * kernel cache and (where it applies) acceleration merged in.
+ * The bidding options of one clear: @p base with @p ctx's transport
+ * and kernel cache merged in. Every allocate() overload of the market
+ * policies clears through this one merge point. It keeps @p base's
+ * acceleration only where the accelerator applies — an in-process
+ * Synchronous clear over a sound transport — and turns it off for
+ * sharded, lossy and Gauss-Seidel clears, which then run plain.
  */
 BiddingOptions clearingOptions(BiddingOptions base,
                                const ClearingContext &ctx);

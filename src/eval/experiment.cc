@@ -378,7 +378,7 @@ ExperimentDriver::runMisreport(int users, int density, double exaggeration,
     return study;
 }
 
-double
+ExperimentDriver::BiddingIterations
 ExperimentDriver::meanBiddingIterations(int users, double server_multiplier,
                                         int density, int populations)
 {
@@ -390,22 +390,30 @@ ExperimentDriver::meanBiddingIterations(int users, double server_multiplier,
     for (std::size_t p = 0; p < pop_count; ++p)
         pops.push_back(nextPopulation(users, server_multiplier, density));
 
-    std::vector<int> iterations(pop_count, 0);
+    const core::BiddingOptions accelerated =
+        alloc::defaultClearingOptions();
+    std::vector<int> plain(pop_count, 0);
+    std::vector<int> fast(pop_count, 0);
     exec::parallelFor(
         0, pop_count, kTrialGrain,
         [&](std::size_t lo, std::size_t hi) {
             for (std::size_t p = lo; p < hi; ++p) {
                 const auto market = buildMarket(
                     pops[p], cache_, FractionSource::Estimated);
-                const auto result = core::solveAmdahlBidding(market);
-                iterations[p] = result.iterations;
+                plain[p] = core::solveAmdahlBidding(market).iterations;
+                fast[p] = core::solveAmdahlBidding(market, accelerated)
+                              .iterations;
             }
         });
 
-    double total = 0.0;
-    for (int iters : iterations)
-        total += iters;
-    return total / static_cast<double>(populations);
+    BiddingIterations mean;
+    for (std::size_t p = 0; p < pop_count; ++p) {
+        mean.plain += plain[p];
+        mean.accelerated += fast[p];
+    }
+    mean.plain /= static_cast<double>(populations);
+    mean.accelerated /= static_cast<double>(populations);
+    return mean;
 }
 
 } // namespace amdahl::eval

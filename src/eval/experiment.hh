@@ -104,12 +104,23 @@ class ExperimentDriver
     double runSensitivity(int density, std::pair<double, double> bucket,
                           int trials);
 
+    /** Mean iterations to convergence of both clearing paths. */
+    struct BiddingIterations
+    {
+        /** The paper's plain proportional response. */
+        double plain = 0.0;
+        /** Anderson-accelerated, as the market policies clear. */
+        double accelerated = 0.0;
+    };
+
     /**
      * Figure 13: mean Amdahl Bidding iterations to convergence at a
-     * given population scale.
+     * given population scale, plain and accelerated over the same
+     * populations.
      */
-    double meanBiddingIterations(int users, double server_multiplier,
-                                 int density, int populations);
+    BiddingIterations meanBiddingIterations(int users,
+                                            double server_multiplier,
+                                            int density, int populations);
 
     /** Outcome of the strategy-proofness study (Section I's claim). */
     struct MisreportStudy

@@ -1,10 +1,12 @@
 #include "online.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
 
+#include "common/byte_order.hh"
 #include "common/check.hh"
 #include "common/crc32.hh"
 #include "common/logging.hh"
@@ -99,7 +101,7 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 }
 
 /** Layout version of encodeOnlineState; bump on any field change. */
-constexpr std::uint32_t kStateVersion = 4;
+constexpr std::uint32_t kStateVersion = 5;
 
 /** Bytes putJob writes per job: nine 8-byte fields. */
 constexpr std::size_t kJobBytes = 9 * 8;
@@ -237,9 +239,9 @@ putStateHead(durability::ByteWriter &w, const OnlineRunState &s,
     w.putU64(s.jobs.size());
 }
 
-/** encodeOnlineState's fields after the job log. */
+/** encodeOnlineState's fields between the job log and the histories. */
 void
-putStateTail(durability::ByteWriter &w, const OnlineRunState &s)
+putStateBody(durability::ByteWriter &w, const OnlineRunState &s)
 {
     w.putU64(s.waitQueue.size());
     for (const auto &job : s.waitQueue)
@@ -271,8 +273,12 @@ putStateTail(durability::ByteWriter &w, const OnlineRunState &s)
     putCount(w, s.metrics.crashEvents);
     putCount(w, s.metrics.replacements);
     w.putF64(s.metrics.workLostSeconds);
-    w.putF64Vector(s.metrics.occupancyHistory);
-    w.putF64Vector(s.metrics.speedupHistory);
+}
+
+/** encodeOnlineState's fields after the per-epoch histories. */
+void
+putStateEnd(durability::ByteWriter &w, const OnlineRunState &s)
+{
     w.putU64(s.net.ticks);
     w.putU64(s.net.globalRound);
     w.putU64(s.net.edgeSeq.size());
@@ -372,7 +378,6 @@ onlineStateFingerprint(const OnlineOptions &opts,
     d.updateF64(opts.net.faults.duplicationRate);
     d.updateU64(opts.net.faults.seed);
     d.updateU32(opts.delta.reuseKernel ? 1 : 0);
-    d.updateU32(opts.delta.warmStartBids ? 1 : 0);
     d.updateU64(opts.net.partitions.size());
     for (const auto &w : opts.net.partitions) {
         d.updateU64(static_cast<std::uint64_t>(w.shard));
@@ -391,7 +396,10 @@ encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
     putStateHead(w, s, opts);
     for (const auto &job : s.jobs)
         putJob(w, job);
-    putStateTail(w, s);
+    putStateBody(w, s);
+    w.putF64Vector(s.metrics.occupancyHistory);
+    w.putF64Vector(s.metrics.speedupHistory);
+    putStateEnd(w, s);
     AMDAHL_ASSERT(w.bytes().size() == encodedStateSize(s),
                   "encodedStateSize is out of step with the layout");
     return w.take();
@@ -420,23 +428,49 @@ OnlineStateDigest::update(const OnlineRunState &s,
         sealedBytes_ += sealed.size();
     }
 
-    // head | sealed jobs | live jobs | tail, in encodeOnlineState's
-    // order; only the sealed part is not re-encoded.
+    // head | sealed jobs | live jobs | body | occupancy history |
+    // speedup history | end, in encodeOnlineState's order. The sealed
+    // jobs and the history entries are joined by their running CRCs;
+    // the rest is re-encoded.
+    const auto extend = [this](std::uint32_t crc) {
+        const std::string &bytes = scratch_.bytes();
+        crc = crc32Update(crc, bytes.data(), bytes.size());
+        scratch_.clear();
+        return crc;
+    };
     scratch_.clear();
     putStateHead(scratch_, s, opts);
-    const std::uint32_t head = crc32(scratch_.bytes());
-    scratch_.clear();
+    std::uint32_t digest =
+        crc32Combine(extend(0), sealedCrc_, sealedBytes_);
     for (std::size_t k = sealedJobs_; k < s.jobs.size(); ++k)
         putJob(scratch_, s.jobs[k]);
-    putStateTail(scratch_, s);
-    const std::string &rest = scratch_.bytes();
-    const std::uint32_t digest = crc32Update(
-        crc32Combine(head, sealedCrc_, sealedBytes_), rest.data(),
-        rest.size());
+    putStateBody(scratch_, s);
+    scratch_.putU64(s.metrics.occupancyHistory.size());
+    digest = extend(digest);
+    digest = occupancy_.join(digest, s.metrics.occupancyHistory);
+    scratch_.putU64(s.metrics.speedupHistory.size());
+    digest = extend(digest);
+    digest = speedup_.join(digest, s.metrics.speedupHistory);
+    putStateEnd(scratch_, s);
+    digest = extend(digest);
     AMDAHL_ASSERT(digest == crc32(encodeOnlineState(s, opts)),
                   "incremental state digest diverged from the full "
                   "encoding at epoch ", s.epoch);
     return digest;
+}
+
+std::uint32_t
+OnlineStateDigest::History::join(std::uint32_t crc,
+                                 const std::vector<double> &entries)
+{
+    AMDAHL_ASSERT(sealed <= entries.size(),
+                  "a per-epoch history shrank under its state digest");
+    for (; sealed < entries.size(); ++sealed) {
+        char word[8];
+        storeLe64(word, std::bit_cast<std::uint64_t>(entries[sealed]));
+        sealedCrc = crc32Update(sealedCrc, word, sizeof word);
+    }
+    return crc32Combine(crc, sealedCrc, 8 * entries.size());
 }
 
 Result<OnlineRunState>
@@ -991,16 +1025,13 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
             // resumes on the same network timeline), and/or the delta
             // re-clearing plumbing. The kernel cache lives in the run
             // state but is never serialized: a recovered run rebuilds
-            // it and stays on the original's trajectory. Accelerated
-            // clears start from the even split, so they too are a pure
-            // function of this epoch's market.
+            // it and stays on the original's trajectory.
             core::ClearingContext ctx;
             ctx.transport = transport;
             if (opts_.net.enabled()) {
                 ctx.sharding = &opts_.net;
                 ctx.session = &s.net;
             }
-            ctx.accel = opts_.delta.warmStartBids;
             if (opts_.delta.reuseKernel) {
                 if (!s.kernelCache) {
                     s.kernelCache =
@@ -1337,7 +1368,8 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
         resume != nullptr &&
         (resume->hasSnapshot || !resume->entries.empty());
     // The per-epoch journal digest: crc32(encodeOnlineState(state)),
-    // computed incrementally over the append-only job log.
+    // computed incrementally over the append-only job log and
+    // histories.
     OnlineStateDigest stateDigest;
 
     if (resuming) {

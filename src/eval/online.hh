@@ -119,38 +119,29 @@ struct AdmissionOptions
  *
  * Successive epochs clear nearly-identical markets: the tenant
  * population is fixed, and most jobs survive from one epoch to the
- * next. Two mechanisms make those re-clears cheap (DESIGN.md §16.3):
+ * next. `reuseKernel` keeps the solver's CSR kernel alive across
+ * epochs in OnlineRunState and patches only the rows whose users
+ * changed, instead of rebuilding the whole structure (DESIGN.md
+ * §16.3). Structure or value mismatches are detected by exact
+ * comparison (never hashing), so a reused kernel is byte-for-byte the
+ * kernel a cold build would produce: the option is bitwise invisible.
  *
- *  - `reuseKernel` keeps the solver's CSR kernel alive across epochs
- *    in OnlineRunState and patches only the rows whose users changed,
- *    instead of rebuilding the whole structure. Structure or value
- *    mismatches are detected by exact comparison (never hashing), so
- *    a reused kernel is byte-for-byte the kernel a cold build would
- *    produce: the option is bitwise invisible.
- *  - `warmStartBids` clears each epoch with Anderson acceleration
- *    (core::ClearingContext::accel) from the even split, where the
- *    accelerator applies — in-process clearing over a sound
- *    transport; sharded or lossy clears run plain. The option keeps
- *    its historical name: it once seeded the clear from the previous
- *    equilibrium, which measured slower than a cold start because
- *    proportional response climbs away from the seed's near-zero
- *    bids only geometrically. An accelerated clear changes the
- *    equilibrium's low-order bits, never its certificate.
- *
- * Disabled by default, in which case the run is bit-identical to a
- * build without the feature.
+ * Whether a clear is accelerated is the policy's choice, not a delta
+ * option: the market policies clear with Anderson acceleration by
+ * default (alloc::defaultClearingOptions), cold or delta alike.
  */
 struct DeltaClearingOptions
 {
     /** Keep (and patch) the bid kernel across epochs. */
     bool reuseKernel = false;
 
-    /** Clear each epoch with Anderson acceleration from the even
-     *  split, where the accelerator applies (see above). */
+    /** Selects nothing (acceleration is the policies' default); kept
+     *  only so existing callers still compile. Not part of the
+     *  scenario fingerprint. */
     bool warmStartBids = false;
 
     /** @return true when any delta mechanism is on. */
-    bool enabled() const { return reuseKernel || warmStartBids; }
+    bool enabled() const { return reuseKernel; }
 };
 
 /** Scenario knobs. */
@@ -454,13 +445,15 @@ std::string encodeOnlineState(const OnlineRunState &state,
  *
  * The job log is append-only and a finished job is never written
  * again (every pass of runEpoch skips done() jobs), so the leading run
- * of finished jobs is frozen. The digest folds each newly frozen
- * job's encoded bytes into a running CRC once, and per call encodes
- * only the state's head, the jobs after that frozen prefix, and its
- * tail, joining the parts with crc32Combine. One instance follows one
- * run's state from epoch to epoch (runDurable keeps one per run); it
- * is process-local and never serialized. AMDAHL_CHECKED builds
- * compare every value against the full encoding.
+ * of finished jobs is frozen; the per-epoch occupancy and speedup
+ * histories are append-only too. The digest folds each newly frozen
+ * job's and each new history entry's encoded bytes into running CRCs
+ * once, and per call encodes only the rest of the state (head, the
+ * jobs after the frozen prefix, the fixed-size fields and the two
+ * history lengths), joining the parts with crc32Combine. One instance
+ * follows one run's state from epoch to epoch (runDurable keeps one
+ * per run); it is process-local and never serialized. AMDAHL_CHECKED
+ * builds compare every value against the full encoding.
  */
 class OnlineStateDigest
 {
@@ -470,9 +463,24 @@ class OnlineStateDigest
                          const OnlineOptions &opts);
 
   private:
+    /** A running CRC over the encoded entries of one append-only
+     *  history (the entries only; the count prefix is re-encoded). */
+    struct History
+    {
+        std::size_t sealed = 0;      //!< Entries folded so far.
+        std::uint32_t sealedCrc = 0; //!< CRC of their encoded bytes.
+
+        /** Fold @p entries' new tail; @return @p crc extended by the
+         *  encoding of all of @p entries. */
+        std::uint32_t join(std::uint32_t crc,
+                           const std::vector<double> &entries);
+    };
+
     std::size_t sealedJobs_ = 0;   //!< Frozen jobs folded so far.
     std::uint32_t sealedCrc_ = 0;  //!< CRC of their encoded bytes.
     std::uint64_t sealedBytes_ = 0; //!< Length of those bytes.
+    History occupancy_;             //!< metrics.occupancyHistory.
+    History speedup_;               //!< metrics.speedupHistory.
     durability::ByteWriter scratch_; //!< Reused encode buffer.
 };
 

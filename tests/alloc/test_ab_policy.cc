@@ -8,6 +8,7 @@
 #include "alloc/amdahl_bidding_policy.hh"
 #include "alloc/policy.hh"
 #include "common/logging.hh"
+#include "core/bidding.hh"
 
 namespace amdahl::alloc {
 namespace {
@@ -51,6 +52,23 @@ TEST(AmdahlBiddingPolicy, OptionsArePassedThrough)
     const auto result = ab.allocate(aliceBobMarket());
     EXPECT_FALSE(result.outcome.converged);
     EXPECT_EQ(result.outcome.iterations, 1);
+}
+
+TEST(AmdahlBiddingPolicy, ClearsAcceleratedByDefault)
+{
+    // The policy's default is the accelerated clear; the library's
+    // default options stay the paper's plain proportional response.
+    const auto market = aliceBobMarket();
+    ASSERT_TRUE(defaultClearingOptions().accel.enabled);
+    ASSERT_FALSE(core::BiddingOptions{}.accel.enabled);
+    const auto result = AmdahlBiddingPolicy().allocate(market);
+    const auto fast =
+        core::solveAmdahlBidding(market, defaultClearingOptions());
+    const auto plain = core::solveAmdahlBidding(market);
+    EXPECT_EQ(result.outcome.bids, fast.bids);
+    EXPECT_EQ(result.outcome.prices, fast.prices);
+    EXPECT_EQ(result.outcome.iterations, fast.iterations);
+    EXPECT_LT(fast.iterations, plain.iterations);
 }
 
 TEST(AmdahlBiddingPolicy, UserCoresHelper)

@@ -135,9 +135,11 @@ TEST(Experiment, SensitivityShiftsAreModest)
 TEST(Experiment, BiddingIterationsArePositiveAndBounded)
 {
     ExperimentDriver driver(tinyConfig());
-    const double iters = driver.meanBiddingIterations(20, 0.5, 8, 2);
-    EXPECT_GE(iters, 1.0);
-    EXPECT_LT(iters, 2000.0);
+    const auto iters = driver.meanBiddingIterations(20, 0.5, 8, 2);
+    EXPECT_GE(iters.plain, 1.0);
+    EXPECT_LT(iters.plain, 2000.0);
+    EXPECT_GE(iters.accelerated, 1.0);
+    EXPECT_LE(iters.accelerated, iters.plain);
 }
 
 TEST(Experiment, MisreportStudyRuns)

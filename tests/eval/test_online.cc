@@ -265,10 +265,8 @@ TEST(Online, FaultScheduleRunsAreBitIdenticalGivenSeed)
 TEST(Online, KernelReuseIsBitwiseInvisible)
 {
     // reuseKernel is a pure structural cache: the run with it on must
-    // be byte-identical to the plain run — same equilibria, same job
-    // log, same histories. (warmStartBids accelerates the clears, which
-    // legitimately changes low-order equilibrium bits, so it gets
-    // determinism and certificate tests, not an identity test.)
+    // be byte-identical to the run without — same equilibria, same job
+    // log, same histories.
     CharacterizationCache cache;
     OnlineSimulator plain(cache, smallScenario());
     const alloc::AmdahlBiddingPolicy ab;
@@ -286,7 +284,6 @@ TEST(Online, DeltaRunsAreBitIdenticalGivenSeed)
     CharacterizationCache cache;
     OnlineOptions opts = smallScenario();
     opts.delta.reuseKernel = true;
-    opts.delta.warmStartBids = true;
     OnlineSimulator sim(cache, opts);
     const alloc::AmdahlBiddingPolicy ab;
     expectBitIdentical(sim.run(ab, FractionSource::Estimated),
@@ -296,40 +293,39 @@ TEST(Online, DeltaRunsAreBitIdenticalGivenSeed)
 TEST(Online, DeltaRunCompletesComparableWork)
 {
     // Accelerated clears change which equilibrium bits the solver
-    // lands on, never the economics: the delta run must complete the
-    // same jobs to within the usual cross-policy slack.
+    // lands on, never the economics: the (accelerated, by default)
+    // delta run must complete the same jobs as plain proportional
+    // response to within the usual cross-policy slack.
     CharacterizationCache cache;
     OnlineSimulator plain(cache, smallScenario());
-    const alloc::AmdahlBiddingPolicy ab;
-    const auto reference = plain.run(ab, FractionSource::Estimated);
+    const auto reference =
+        plain.run(alloc::AmdahlBiddingPolicy(core::BiddingOptions{}),
+                  FractionSource::Estimated);
 
     OnlineOptions opts = smallScenario();
     opts.delta.reuseKernel = true;
-    opts.delta.warmStartBids = true;
     OnlineSimulator sim(cache, opts);
-    const auto delta = sim.run(ab, FractionSource::Estimated);
+    const auto delta =
+        sim.run(alloc::AmdahlBiddingPolicy(), FractionSource::Estimated);
     EXPECT_EQ(delta.jobsArrived, reference.jobsArrived);
     EXPECT_NEAR(delta.workCompleted, reference.workCompleted,
                 0.02 * reference.workCompleted);
 }
 
-TEST(Online, DeltaAccelerationStaysOffWhereItCannotApply)
+TEST(Online, LossyAndShardedRunsClearPlain)
 {
-    // Acceleration needs an in-process clear over a sound transport.
-    // A lossy or sharded delta run clears plain — byte-identical to
-    // the same run without delta re-clearing — and never reaches the
-    // accelerator's option fatals.
+    // The default policies accelerate, but not where the accelerator
+    // cannot apply: a run with bid loss, and a sharded run, clear
+    // byte-identically to the same run under plain options.
     CharacterizationCache cache;
-    const alloc::FallbackPolicy fb;
+    const alloc::FallbackPolicy fast;
+    const alloc::FallbackPolicy plain{core::BiddingOptions{}};
     OnlineOptions sharded = smallScenario();
     sharded.net.shards = 2;
-    for (const OnlineOptions &plain : {churnScenario(), sharded}) {
-        OnlineOptions delta = plain;
-        delta.delta.warmStartBids = true;
-        OnlineSimulator plainSim(cache, plain);
-        OnlineSimulator deltaSim(cache, delta);
-        expectBitIdentical(deltaSim.run(fb, FractionSource::Estimated),
-                           plainSim.run(fb, FractionSource::Estimated));
+    for (const OnlineOptions &opts : {churnScenario(), sharded}) {
+        OnlineSimulator sim(cache, opts);
+        expectBitIdentical(sim.run(fast, FractionSource::Estimated),
+                           sim.run(plain, FractionSource::Estimated));
     }
 }
 
@@ -380,52 +376,67 @@ class ClearingRecorder final : public alloc::AllocationPolicy
     const alloc::AllocationPolicy &inner_;
 };
 
-TEST(Online, AcceleratedDeltaClearsAreCertified)
+TEST(Online, AcceleratedClearsAreCertified)
 {
     // Accelerated clears are not bit-identical to plain ones, so they
-    // are judged by the equilibrium certificate: on every market a
-    // delta run cleared, the served outcome's optimality gap is at
-    // most twice that of a plain cold clear of the same market.
+    // are judged by the equilibrium certificate. On every market a
+    // cold run (no delta options) under AB and AB+FB, and a delta run,
+    // cleared, the served outcome is the accelerated solve's, bit for
+    // bit, and its optimality gap is at most twice that of a plain
+    // clear of the same market.
     CharacterizationCache cache;
-    OnlineOptions opts = smallScenario();
-    opts.users = 48;
-    opts.servers = 6;
-    opts.arrivalsPerServerEpoch = 3.0;
-    opts.horizonSeconds = 1200.0;
-    opts.delta.reuseKernel = true;
-    opts.delta.warmStartBids = true;
-    OnlineSimulator sim(cache, opts);
+    OnlineOptions cold = smallScenario();
+    cold.users = 48;
+    cold.servers = 6;
+    cold.arrivalsPerServerEpoch = 3.0;
+    cold.horizonSeconds = 1200.0;
+    OnlineOptions delta = cold;
+    delta.delta.reuseKernel = true;
+
+    const alloc::AmdahlBiddingPolicy ab;
     const alloc::FallbackPolicy fb;
-    const ClearingRecorder recorder(fb);
-    sim.run(recorder, FractionSource::Estimated);
-    ASSERT_GT(recorder.markets.size(), 10u);
+    struct Run
+    {
+        const char *name;
+        const OnlineOptions &opts;
+        const alloc::AllocationPolicy &policy;
+    };
+    const core::BiddingOptions accelerated = alloc::defaultClearingOptions();
+    for (const Run &run : {Run{"cold AB", cold, ab},
+                           Run{"cold AB+FB", cold, fb},
+                           Run{"delta AB+FB", delta, fb}}) {
+        SCOPED_TRACE(run.name);
+        OnlineSimulator sim(cache, run.opts);
+        const ClearingRecorder recorder(run.policy);
+        sim.run(recorder, FractionSource::Estimated);
+        ASSERT_GT(recorder.markets.size(), 10u);
 
-    core::BiddingOptions accelerated;
-    accelerated.accel.enabled = true;
-    int accelRounds = 0;
-    int coldRounds = 0;
-    for (std::size_t c = 0; c < recorder.markets.size(); ++c) {
-        const auto &market = recorder.markets[c];
-        const auto &served = recorder.outcomes[c];
-        ASSERT_TRUE(served.converged) << "clear " << c;
-        // The served outcome is the accelerated solve's, bit for bit.
-        const auto fast = core::solveAmdahlBidding(market, accelerated);
-        ASSERT_EQ(served.prices, fast.prices) << "clear " << c;
-        ASSERT_EQ(served.bids, fast.bids) << "clear " << c;
+        int accelRounds = 0;
+        int plainRounds = 0;
+        for (std::size_t c = 0; c < recorder.markets.size(); ++c) {
+            const auto &market = recorder.markets[c];
+            const auto &served = recorder.outcomes[c];
+            ASSERT_TRUE(served.converged) << "clear " << c;
+            const auto fast =
+                core::solveAmdahlBidding(market, accelerated);
+            ASSERT_EQ(served.prices, fast.prices) << "clear " << c;
+            ASSERT_EQ(served.bids, fast.bids) << "clear " << c;
 
-        const auto cold = core::solveAmdahlBidding(market);
-        ASSERT_TRUE(cold.converged) << "clear " << c;
-        // Gaps under 1e-8 — two orders below what the 1e-6 price
-        // tolerance resolves — count as exact.
-        const double gap =
-            core::verifyEquilibrium(market, served).maxOptimalityGap;
-        const double coldGap =
-            core::verifyEquilibrium(market, cold).maxOptimalityGap;
-        EXPECT_LE(gap, std::max(2.0 * coldGap, 1e-8)) << "clear " << c;
-        accelRounds += served.iterations;
-        coldRounds += cold.iterations;
+            const auto plain = core::solveAmdahlBidding(market);
+            ASSERT_TRUE(plain.converged) << "clear " << c;
+            // Gaps under 1e-8 — two orders below what the 1e-6 price
+            // tolerance resolves — count as exact.
+            const double gap =
+                core::verifyEquilibrium(market, served).maxOptimalityGap;
+            const double plainGap =
+                core::verifyEquilibrium(market, plain).maxOptimalityGap;
+            EXPECT_LE(gap, std::max(2.0 * plainGap, 1e-8))
+                << "clear " << c;
+            accelRounds += served.iterations;
+            plainRounds += plain.iterations;
+        }
+        EXPECT_LT(accelRounds, plainRounds);
     }
-    EXPECT_LT(accelRounds, coldRounds);
 }
 
 TEST(Online, IdenticalArrivalStreamAcrossPoliciesUnderFaults)

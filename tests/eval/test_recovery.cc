@@ -186,6 +186,19 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
         ab.name());
     EXPECT_FALSE(truncated.ok());
 
+    // A state of the previous layout (version 4, whose clears followed
+    // a different trajectory) is refused as version skew up front, not
+    // replayed into a divergence.
+    std::string older = encoded;
+    storeLe32(older.data(), loadLe32(older.data()) - 1);
+    ASSERT_EQ(loadLe32(older.data()), 4u);
+    auto skewed = decodeOnlineState(older, opts, ab.name());
+    ASSERT_FALSE(skewed.ok());
+    EXPECT_EQ(skewed.status().kind(), ErrorKind::SemanticError);
+    EXPECT_NE(skewed.status().toString().find("version 4"),
+              std::string::npos)
+        << skewed.status().toString();
+
     // A state whose own policy name differs from the fingerprinted one
     // (header patched to fingerprint "PS"; the state still says AB).
     std::string renamed = encoded;
@@ -364,15 +377,14 @@ deltaScenario()
 {
     OnlineOptions opts = smallScenario();
     opts.delta.reuseKernel = true;
-    opts.delta.warmStartBids = true;
     return opts;
 }
 
 TEST(Recovery, DeltaStateRoundTripsAndResumesIdentically)
 {
-    // Delta re-clearing keeps no equilibrium in the run state: its
-    // accelerated clears start from the even split, and the kernel
-    // cache is never serialized. A decoded mid-run state must
+    // Delta re-clearing keeps no equilibrium in the run state: every
+    // clear starts from the even split, and the kernel cache is never
+    // serialized. A decoded mid-run state must
     // re-encode to the same bytes and resume bit-identically.
     CharacterizationCache cache;
     const OnlineOptions opts = deltaScenario();

@@ -4,8 +4,9 @@
  *
  * Seeds are freshly encoded valid inputs (wire frames, journal
  * entries, snapshot envelopes, online states, journal and snapshot
- * files from a real durable run) plus the hand-made corruption corpus
- * in tests/data/malformed/durability/. Each iteration draws its
+ * files from a real durable run, market files, profile CSVs and plain
+ * CSV tables) plus the hand-made corruption corpus in
+ * tests/data/malformed/. Each iteration draws its
  * mutations — bit flips, byte sets, truncations, splices of two
  * seeds, and edits of 4- or 8-byte length-like fields — from its own
  * counter-based substream (substreamSeed), so every input is
@@ -15,14 +16,20 @@
  * checksum.
  *
  * The contract: every input either fails with a Status, or decodes
- * and re-encodes to exactly the bytes it came from. A crash,
- * sanitizer report or non-canonical accept fails the test. The budget
- * is fixed (a few seconds in a debug or sanitizer build).
+ * and re-encodes to exactly the bytes it came from. The text formats
+ * admit comments, spacing, quoting and number spellings their writers
+ * never emit, so for them the bytes are the writer's canonical text:
+ * an accepted input must decode to the value that text decodes to,
+ * and the text must re-encode to itself. A crash, sanitizer report or
+ * non-canonical accept fails the test. The budget is fixed (a few
+ * seconds in a debug or sanitizer build).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,9 +37,12 @@
 #include "alloc/amdahl_bidding_policy.hh"
 #include "common/byte_order.hh"
 #include "common/crc32.hh"
+#include "common/csv.hh"
 #include "common/random.hh"
+#include "core/market_io.hh"
 #include "eval/online.hh"
 #include "net/message.hh"
+#include "profiling/profile_io.hh"
 #include "robustness/durability/codec.hh"
 #include "robustness/durability/durable_store.hh"
 #include "robustness/durability/journal.hh"
@@ -58,6 +68,9 @@ enum Target : std::uint64_t {
     kOnlineState,
     kJournalFile,
     kSnapshotFile,
+    kMarketText,
+    kProfileCsv,
+    kCsvTable,
 };
 
 /** Values a mutated length or count field is set to. */
@@ -533,6 +546,235 @@ TEST(DecoderFuzz, SnapshotFilesRejectOrRoundTrip)
     snapshots.expectBoth("snapshot files");
     envelopes.expectBoth("snapshot file envelopes");
     states.expectBoth("snapshot file states");
+}
+
+// ---------------------------------------------------------------------
+// Text decoders
+// ---------------------------------------------------------------------
+
+/** The files in tests/data/malformed/ whose names start with
+ *  @p prefix. */
+std::vector<std::string>
+corpus(std::string_view prefix)
+{
+    std::vector<std::string> files;
+    const fs::path dir = fs::path(AMDAHL_TEST_DATA_DIR) / "malformed";
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        if (entry.is_regular_file() &&
+            entry.path().filename().string().starts_with(prefix))
+            files.push_back(readAll(entry.path()));
+    }
+    EXPECT_GE(files.size(), 4u) << prefix;
+    return files;
+}
+
+/** @return true when @p a and @p b have the same bit pattern. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        if (!sameBits(a[k], b[k]))
+            return false;
+    }
+    return true;
+}
+
+bool
+sameMarket(const core::FisherMarket &a, const core::FisherMarket &b)
+{
+    if (!sameBits(a.capacities(), b.capacities()) ||
+        a.userCount() != b.userCount())
+        return false;
+    for (std::size_t i = 0; i < a.userCount(); ++i) {
+        const core::MarketUser &x = a.user(i);
+        const core::MarketUser &y = b.user(i);
+        if (x.name != y.name || !sameBits(x.budget, y.budget) ||
+            x.jobs.size() != y.jobs.size())
+            return false;
+        for (std::size_t k = 0; k < x.jobs.size(); ++k) {
+            if (x.jobs[k].server != y.jobs[k].server ||
+                !sameBits(x.jobs[k].parallelFraction,
+                          y.jobs[k].parallelFraction) ||
+                !sameBits(x.jobs[k].weight, y.jobs[k].weight))
+                return false;
+        }
+    }
+    return true;
+}
+
+bool
+sameProfile(const profiling::WorkloadProfile &a,
+            const profiling::WorkloadProfile &b)
+{
+    if (a.workloadName != b.workloadName ||
+        a.coreCounts != b.coreCounts ||
+        !sameBits(a.datasetsGB, b.datasetsGB) ||
+        a.points.size() != b.points.size())
+        return false;
+    for (std::size_t k = 0; k < a.points.size(); ++k) {
+        if (!sameBits(a.points[k].datasetGB, b.points[k].datasetGB) ||
+            a.points[k].cores != b.points[k].cores ||
+            !sameBits(a.points[k].seconds, b.points[k].seconds))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Feed @p iterations mutants of @p seeds to @p decode. Each accepted
+ * value's canonical text (@p encode) must decode to the same value
+ * (@p same) and re-encode to itself.
+ */
+template <typename Decode, typename Encode, typename Same>
+void
+fuzzText(Target target, std::uint64_t iterations,
+         const std::vector<std::string> &seeds, Decode decode,
+         Encode encode, Same same, const char *name)
+{
+    Tally tally;
+    for (std::uint64_t i = 0; i < iterations; ++i) {
+        const std::string in = mutant(target, i, seeds);
+        auto value = decode(in);
+        if (!value.ok()) {
+            ++tally.rejected;
+            continue;
+        }
+        ++tally.accepted;
+        const std::string canonical = encode(value.value());
+        auto again = decode(canonical);
+        ASSERT_TRUE(again.ok())
+            << name << " iteration " << i << ": canonical text of an "
+            << "accepted input is rejected: "
+            << again.status().toString() << "\n" << canonical;
+        ASSERT_TRUE(same(value.value(), again.value()))
+            << name << " iteration " << i << ":\n" << canonical;
+        ASSERT_EQ(encode(again.value()), canonical)
+            << name << " iteration " << i;
+    }
+    tally.expectBoth(name);
+}
+
+TEST(DecoderFuzz, MarketFilesRejectOrRoundTrip)
+{
+    std::vector<std::string> seeds = corpus("market_");
+    const auto text = [](const core::FisherMarket &market) {
+        std::ostringstream out;
+        core::writeMarket(out, market);
+        return out.str();
+    };
+    core::FisherMarket example({10.0, 10.0});
+    example.addUser({"Alice", 1.0, {{0, 0.53, 1.0}, {1, 0.93, 1.0}}});
+    example.addUser({"Bob", 1.0, {{0, 0.96, 1.0}, {1, 0.68, 1.0}}});
+    seeds.push_back(text(example));
+    core::FisherMarket odd({2.0, 1e3, 0.125});
+    odd.addUser({"", 0.001, {{2, 0.0, 3.5}, {0, 1.0, 1e-3}}});
+    odd.addUser({"x#y", 50.0, {{1, 1.0 / 3.0, 1.0}}});
+    seeds.push_back(text(odd));
+    // Random valid markets, so most mutants start from a valid one.
+    Rng rng(substreamSeed(kFuzzSeed, kMarketText, ~0ULL));
+    for (int m = 0; m < 24; ++m) {
+        std::vector<double> capacities;
+        const auto servers = rng.uniformInt(1, 4);
+        for (std::int64_t j = 0; j < servers; ++j)
+            capacities.push_back(rng.uniform(0.5, 64.0));
+        core::FisherMarket market(capacities);
+        const auto users = rng.uniformInt(1, 3);
+        for (std::int64_t i = 0; i < users; ++i) {
+            core::MarketUser user;
+            user.name = "u" + std::to_string(i);
+            user.budget = rng.uniform(0.01, 10.0);
+            for (std::size_t j = 0; j < capacities.size(); ++j) {
+                if (j == 0 || rng.uniformInt(0, 1) == 1)
+                    user.jobs.push_back({j, rng.uniform(0.0, 1.0),
+                                         rng.uniform(0.1, 4.0)});
+            }
+            market.addUser(std::move(user));
+        }
+        seeds.push_back(text(market));
+    }
+    seeds.push_back("# a comment\n\nservers 4 8   # trailing\n"
+                    "user a\njob fraction 0.5 server 1\n"
+                    "user b budget 2.50\njob server 0 fraction .9"
+                    " weight 2\n");
+    fuzzText(
+        kMarketText, 60000, seeds,
+        [](const std::string &in) {
+            return core::tryParseMarketString(in);
+        },
+        text, sameMarket, "market files");
+}
+
+TEST(DecoderFuzz, ProfileCsvsRejectOrRoundTrip)
+{
+    std::vector<std::string> seeds = corpus("profile_");
+    const auto text = [](const profiling::WorkloadProfile &profile) {
+        std::ostringstream out;
+        profiling::writeProfileCsv(out, profile);
+        return out.str();
+    };
+    profiling::WorkloadProfile grid;
+    grid.workloadName = "fuzz";
+    for (double gb : {0.5, 2.0, 7.25}) {
+        for (int cores : {1, 2, 8, 24})
+            grid.points.push_back({gb, cores, 100.0 * gb / cores + 0.3});
+    }
+    seeds.push_back(text(grid));
+    Rng rng(substreamSeed(kFuzzSeed, kProfileCsv, ~0ULL));
+    for (int g = 0; g < 16; ++g) {
+        profiling::WorkloadProfile random;
+        random.workloadName = "fuzz";
+        const auto datasets = rng.uniformInt(1, 3);
+        for (std::int64_t d = 0; d < datasets; ++d) {
+            const double gb = rng.uniform(0.1, 100.0);
+            for (int cores = 1; cores <= 16; cores *= 1 + g % 3 + 1)
+                random.points.push_back(
+                    {gb, cores, rng.uniform(1.0, 5000.0)});
+        }
+        seeds.push_back(text(random));
+    }
+    seeds.push_back("seconds,cores,dataset_gb,note\r\n"
+                    "41.7,1,\"2.5\",\"a, quoted \"\"note\"\"\"\r\n"
+                    "11.0,4.0,2.5e0,\r\n");
+    fuzzText(
+        kProfileCsv, 60000, seeds,
+        [](const std::string &in) {
+            return profiling::tryParseProfileCsvString(in, "fuzz");
+        },
+        text, sameProfile, "profile CSVs");
+}
+
+TEST(DecoderFuzz, CsvTablesRejectOrRoundTrip)
+{
+    std::vector<std::string> seeds = corpus("csv_");
+    for (const std::string &profile : corpus("profile_"))
+        seeds.push_back(profile);
+    const auto text = [](const CsvTable &table) {
+        std::ostringstream out;
+        CsvWriter csv(out, table.header);
+        for (const auto &row : table.rows)
+            csv.writeRow(row);
+        return out.str();
+    };
+    seeds.push_back("name,value,comment\n"
+                    "a,1,\"quoted, with comma\"\n"
+                    "\"multi\nline\",2,\"say \"\"hi\"\"\"\r\n"
+                    ",,\n"
+                    "\"carriage\rreturn\",3,\"\"\n");
+    fuzzText(
+        kCsvTable, 20000, seeds,
+        [](const std::string &in) { return parseCsvString(in); }, text,
+        [](const CsvTable &a, const CsvTable &b) {
+            return a.header == b.header && a.rows == b.rows;
+        },
+        "CSV tables");
 }
 
 } // namespace

@@ -110,15 +110,13 @@
  *                            for simd in a build without it (or on a
  *                            CPU without AVX2) is a hard error.
  *
- * `solve` also accepts:
+ * `solve` and `stats` clear with Anderson acceleration (DESIGN.md
+ * §16.2), like the market policies: typically tens of times fewer
+ * rounds on slowly-mixing markets, and each accepted step is
+ * validated against the plain update, so the iteration never regresses
+ * below undamped proportional response. Under `--gauss-seidel` they
+ * clear plain. `solve` also accepts:
  *
- *   --accel                  Anderson-accelerate the proportional-
- *                            response iteration (DESIGN.md §16).
- *                            Typically tens of times fewer rounds on
- *                            slowly-mixing markets; each accepted
- *                            step is validated against the plain
- *                            update, so the iteration never regresses
- *                            below undamped proportional response.
  *   --accel-depth <n>        Anderson history window in [1, 8]
  *                            (default 3).
  */
@@ -133,6 +131,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/amdahl_bidding_policy.hh"
 #include "alloc/fallback_policy.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -170,7 +169,7 @@ usage()
         << " [--fractional]\n"
         << "                     [--deadline-iterations n]"
         << " [--deadline-seconds s]\n"
-        << "                     [--accel] [--accel-depth n]\n"
+        << "                     [--accel-depth n]\n"
         << "       amdahl_market check <file> [--allow-duplicate-jobs]\n"
         << "       amdahl_market workloads\n"
         << "       amdahl_market profile <workload>\n"
@@ -207,7 +206,7 @@ int
 cmdSolve(const std::vector<std::string> &args)
 {
     std::string path;
-    core::BiddingOptions opts;
+    core::BiddingOptions opts = alloc::defaultClearingOptions();
     bool fractional = false;
     for (std::size_t a = 0; a < args.size(); ++a) {
         const std::string &arg = args[a];
@@ -224,10 +223,7 @@ cmdSolve(const std::vector<std::string> &args)
             opts.deadline.iterationBudget = std::stoi(args[++a]);
         } else if (arg == "--deadline-seconds" && a + 1 < args.size()) {
             opts.deadline.wallClockSeconds = std::stod(args[++a]);
-        } else if (arg == "--accel") {
-            opts.accel.enabled = true;
         } else if (arg == "--accel-depth" && a + 1 < args.size()) {
-            opts.accel.enabled = true;
             opts.accel.depth = std::stoi(args[++a]);
         } else if (path.empty() && !arg.empty() && arg[0] != '-') {
             path = arg;
@@ -248,7 +244,10 @@ cmdSolve(const std::vector<std::string> &args)
         return 1;
     }
     const auto market = parsed.take();
-    const auto result = core::solveAmdahlBidding(market, opts);
+    // Accelerated unless --gauss-seidel, which the accelerator cannot
+    // serve (clearingOptions turns it off).
+    const auto result = core::solveAmdahlBidding(
+        market, core::clearingOptions(opts, {}));
 
     std::cout << (result.converged ? "converged" : "NOT converged")
               << " after " << result.iterations << " iterations";
@@ -1039,7 +1038,7 @@ cmdStats(const std::vector<std::string> &args)
 {
     std::string path;
     bool json = false;
-    core::BiddingOptions opts;
+    core::BiddingOptions opts = alloc::defaultClearingOptions();
     for (const std::string &arg : args) {
         if (arg == "--gauss-seidel") {
             opts.schedule = core::UpdateSchedule::GaussSeidel;
@@ -1066,7 +1065,8 @@ cmdStats(const std::vector<std::string> &args)
     // work already recorded so the dump attributes to the solve alone.
     obs::setTimingEnabled(true);
     obs::metrics().reset();
-    const auto result = core::solveAmdahlBidding(market, opts);
+    const auto result = core::solveAmdahlBidding(
+        market, core::clearingOptions(opts, {}));
     core::verifyEquilibrium(market, result);
     core::roundOutcome(market, result);
 
